@@ -4,7 +4,8 @@ Subcommands: ``verify`` (identity catalog and functional equation sweeps),
 ``quadrature`` (resolution-of-identity certification), ``grassmann``
 (eigenvector checks), ``dump`` (matrix output). Reports go to stdout as JSON
 (default) or CSV. Exit status: 0 when every record passes, 1 on any failing
-record, 2 on usage errors.
+record, 2 on usage errors, including parameters the library rejects with a
+``ValueError`` (such as a radial node count too large for a finite grid).
 """
 
 from __future__ import annotations
@@ -98,7 +99,13 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    try:
+        return _dispatch(parser, args)
+    except ValueError as exc:  # a parameter the library rejects is a usage error
+        parser.error(str(exc))
 
+
+def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "verify":
         _check_dims(parser, args.dims)
         _check_ls(parser, args.ls)

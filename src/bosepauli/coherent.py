@@ -55,28 +55,23 @@ def odd_ket(space: FockSpace, z: complex) -> np.ndarray:
     return amps
 
 
-def _parity_phase(dim: int, parity: int) -> np.ndarray:
-    """Diagonal ``(-1)^n`` on levels ``2n + parity``, identity elsewhere."""
-    diag = np.ones(dim, dtype=complex)
-    for m in range(parity, dim, 2):
-        diag[m] = (-1.0) ** ((m - parity) // 2)
-    return np.diag(diag)
+def _quarter_turns(dim: int) -> np.ndarray:
+    """``i^m`` on level ``m``: the phase the ``z -> iz`` substitution puts on ``z^m``."""
+    return np.array([(1.0 + 0j, 1j, -1.0 + 0j, -1j)[m % 4] for m in range(dim)])
 
 
 def phase_relation_residual(space: FockSpace, z: complex) -> float:
     """Mismatch between the parity-phase-flipped cat states at ``z`` and the
     cat states at ``iz``, in max component modulus.
 
-    On even support the flip reproduces ``even_ket(iz)`` directly, since
-    ``(iz)^(2n) = (-1)^n z^(2n)``. On odd support the substitution leaves a
-    global factor ``i`` (``(iz)^(2n+1) = i (-1)^n z^(2n+1)``), so the flipped
-    ket times ``i`` is compared against ``odd_ket(iz)``.
+    The flip multiplies level ``m`` by ``i^m``: ``(-1)^n`` on even support,
+    since ``(iz)^(2n) = (-1)^n z^(2n)``, and on odd support also the global
+    factor ``i`` the substitution leaves (``(iz)^(2n+1) = i (-1)^n z^(2n+1)``).
     """
     z = complex(z)
-    flip_even = _parity_phase(space.dim, 0)
-    flip_odd = _parity_phase(space.dim, 1)
-    res_even = max_abs_norm(flip_even @ even_ket(space, z) - even_ket(space, 1j * z))
-    res_odd = max_abs_norm(1j * (flip_odd @ odd_ket(space, z)) - odd_ket(space, 1j * z))
+    phases = _quarter_turns(space.dim)
+    res_even = max_abs_norm(phases * even_ket(space, z) - even_ket(space, 1j * z))
+    res_odd = max_abs_norm(phases * odd_ket(space, z) - odd_ket(space, 1j * z))
     return max(res_even, res_odd)
 
 
@@ -106,7 +101,11 @@ def quadrature_grid(radial_count: int, angular_count: int) -> QuadratureGrid:
     and ``angular_count`` uniform angles."""
     if radial_count < 1 or angular_count < 1:
         raise ValueError("quadrature grid needs at least one radial node and one angle")
-    nodes, weights = laggauss(radial_count)
+    # laggauss weights overflow to NaN from about 187 nodes on: reject, never return NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        nodes, weights = laggauss(radial_count)
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise ValueError(f"radial_count={radial_count} gives non-finite Gauss-Laguerre nodes or weights")
     return QuadratureGrid(nodes, weights, angular_count)
 
 
@@ -124,9 +123,7 @@ def _resolution_target(space: FockSpace, parity: int, phased: bool) -> np.ndarra
         return projector
     # The iz substitution puts i^m on level m; on even support that is
     # (-1)^(m/2), on odd support i*(-1)^((m-1)/2).
-    quarter_turn = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-    phases = np.array([quarter_turn[m % 4] for m in range(space.dim)])
-    return np.diag(phases) @ projector
+    return _quarter_turns(space.dim)[:, None] * projector
 
 
 def resolution_residual(space: FockSpace, variant: str, grid: QuadratureGrid) -> float:

@@ -5,8 +5,9 @@ kets are complex vectors with component ``n = <n|psi>``. A :class:`FockSpace`
 retains the number states ``|0> .. |dim-1>`` with a hard cutoff: the raising
 operator maps the top level to the zero vector, so every operator is an
 endomorphism of the same finite space. Matrices compose with the native numpy
-operators (``@``, ``+``, scalar ``*``); only the operations that add physics
-semantics get names here.
+operators (``@``, ``+``, scalar ``*``, ``np.vdot``); only the operations that
+add physics semantics get names here. Those act on the last two axes, so they
+apply unchanged to stacks of blocks of shape ``(..., n, n)``.
 """
 
 from __future__ import annotations
@@ -46,20 +47,9 @@ def number_operator(space: FockSpace) -> np.ndarray:
     return np.diag(np.arange(space.dim)).astype(complex)
 
 
-def diagonal_from_function(space: FockSpace, g) -> np.ndarray:
-    """Diagonal operator ``g(N)`` with entry ``[n, n] = g(n)``.
-
-    ``g`` must return a finite real or complex value for every retained level.
-    """
-    values = np.array([g(n) for n in range(space.dim)], dtype=complex)
-    if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
-        raise ValueError("diagonal function returned a non-finite value")
-    return np.diag(values)
-
-
 def dagger(op: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return op.conj().T
+    """Conjugate transpose of a matrix, or of each block of a stack."""
+    return np.swapaxes(op.conj(), -1, -2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -78,16 +68,6 @@ def max_abs_norm(arr: np.ndarray) -> float:
     if arr.size == 0:
         return 0.0
     return float(np.max(np.abs(arr)))
-
-
-def apply(op: np.ndarray, ket: np.ndarray) -> np.ndarray:
-    """Matrix-vector action ``op|ket>``."""
-    return op @ ket
-
-
-def inner(bra: np.ndarray, ket: np.ndarray) -> complex:
-    """Inner product ``<u|v>``, conjugate linear in the first argument."""
-    return complex(np.vdot(bra, ket))
 
 
 def fock_ket(space: FockSpace, n: int) -> np.ndarray:

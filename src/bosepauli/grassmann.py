@@ -14,7 +14,7 @@ from numbers import Number
 
 import numpy as np
 
-from .fock import FockSpace, fock_ket
+from .fock import FockSpace, fock_ket, max_abs_norm
 from .pauli import BosonizationParams, sigma_minus
 
 
@@ -90,18 +90,6 @@ class GrassmannKet:
     def amplitude(self, n: int) -> GrassmannScalar:
         return GrassmannScalar(complex(self.body[n]), complex(self.soul[n]))
 
-    @property
-    def amplitudes(self) -> list[GrassmannScalar]:
-        return [self.amplitude(n) for n in range(self.space.dim)]
-
-
-def grassmann_ket(space: FockSpace, scalars) -> GrassmannKet:
-    """Build a ket from a sequence of :class:`GrassmannScalar`."""
-    scalars = list(scalars)
-    body = np.array([s.body for s in scalars], dtype=complex)
-    soul = np.array([s.soul for s in scalars], dtype=complex)
-    return GrassmannKet(space, body, soul)
-
 
 def apply_operator(op: np.ndarray, ket: GrassmannKet) -> GrassmannKet:
     """Act with a complex matrix; matrix entries commute with theta."""
@@ -151,11 +139,8 @@ def eigen_check(space: FockSpace, l: int, xi: GrassmannScalar) -> tuple[float, f
     ket = sigma_minus_eigenket(space, xi)
     lowered = apply_operator(op, ket)
     expected = grassmann_scale(xi, ket)
-    eigenvalue_residual = float(
-        max(
-            np.max(np.abs(lowered.body - expected.body)),
-            np.max(np.abs(lowered.soul - expected.soul)),
-        )
+    eigenvalue_residual = max(
+        max_abs_norm(lowered.body - expected.body), max_abs_norm(lowered.soul - expected.soul)
     )
     nilpotency_residual = max_abs_amplitude(apply_operator(op, lowered))
     return eigenvalue_residual, nilpotency_residual

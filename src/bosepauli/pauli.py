@@ -7,16 +7,19 @@ Even exponents give the constant-sign representation, odd exponents the
 alternating-sign one, and the operator depends on ``l`` only through its
 parity.
 
-Every matrix built here has entries in ``{0, +-1, +-i}``. Products and sums
-of such matrices are computed without rounding in double precision, so on an
-even-dimensional truncation the whole commutator/anticommutator catalog is
-certified with residual exactly zero, not merely small.
+Every pseudospin operator is thus a direct sum of 2x2 blocks on the level
+pairs ``(|2n>, |2n+1>)``. The identity catalog runs on ``(dim/2, 2, 2)``
+stacks of those blocks, with entries in ``{0, +-1, +-i}``: their products
+and sums round nowhere in double precision, so on an even-dimensional
+truncation the whole catalog is certified with residual exactly zero, not
+merely small. Only the public ``sigma_minus``, ``sigma_three`` and
+``pauli_set`` assemble dense matrices, from the same blocks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,7 +30,6 @@ from .fock import (
     anticommutator,
     commutator,
     dagger,
-    diagonal_from_function,
     fock_ket,
     max_abs_norm,
 )
@@ -91,18 +93,57 @@ class BosonizationParams:
             )
 
 
-def _unit_lowering(space: FockSpace) -> np.ndarray:
-    # (N+1)^(-1/2) a: ones on the first superdiagonal. The radial factors
-    # sqrt(n+1)/sqrt(n+1) are cancelled analytically; rounded square roots do
-    # not cancel in IEEE doubles ((1/sqrt(15))*sqrt(15) != 1), and the exact
-    # {0, +-1} entries below depend on this cancellation.
-    return np.diag(np.ones(space.dim - 1), 1).astype(complex)
+@dataclass(frozen=True)
+class PauliSet:
+    """The five pseudospin operators assembled from one ``sigma_-``, either as
+    dense matrices or as ``(dim/2, 2, 2)`` stacks of pair blocks."""
+
+    sigma_minus: np.ndarray
+    sigma_plus: np.ndarray
+    sigma_one: np.ndarray
+    sigma_two: np.ndarray
+    sigma_three: np.ndarray
+
+
+def _diagonal_blocks(upper: float, lower: float, pairs: int) -> np.ndarray:
+    """``diag(upper, lower)`` on every pair, as a ``(pairs, 2, 2)`` stack."""
+    return np.broadcast_to(np.diag([upper, lower]).astype(complex), (pairs, 2, 2))
+
+
+def _densify(blocks: np.ndarray) -> np.ndarray:
+    """Direct sum of a ``(pairs, 2, 2)`` stack: block ``n`` on levels ``(2n, 2n+1)``."""
+    pairs = blocks.shape[0]
+    out = np.zeros((pairs, 2, pairs, 2), dtype=complex)
+    diagonal = np.arange(pairs)
+    out[diagonal, :, diagonal, :] = blocks
+    return out.reshape(2 * pairs, 2 * pairs)
+
+
+def _lowering_blocks(params: BosonizationParams) -> np.ndarray:
+    # Block n holds the f(N) a entry at (2n, 2n+1), f(2n) sqrt(2n+1) = cos^l(pi n),
+    # with the radial factors cancelled analytically: rounded square roots do not
+    # cancel in IEEE doubles ((1/sqrt(15))*sqrt(15) != 1), and exactness needs them to.
+    pairs = params.space.dim // 2
+    blocks = np.zeros((pairs, 2, 2), dtype=complex)
+    blocks[:, 0, 1] = [_cos_half_pi(2 * n) ** params.l for n in range(pairs)]
+    return blocks
+
+
+def _pauli_blocks(params: BosonizationParams) -> PauliSet:
+    minus = _lowering_blocks(params)
+    plus = dagger(minus)
+    return PauliSet(
+        sigma_minus=minus,
+        sigma_plus=plus,
+        sigma_one=plus + minus,
+        sigma_two=-1j * (plus - minus),
+        sigma_three=_diagonal_blocks(-1.0, 1.0, params.space.dim // 2),
+    )
 
 
 def sigma_minus(params: BosonizationParams) -> np.ndarray:
     """Lowering operator ``sigma_- = f(N) a = cos^l(pi N/2) (N+1)^(-1/2) a``."""
-    cos_power = diagonal_from_function(params.space, lambda n: _cos_half_pi(n) ** params.l)
-    return cos_power @ _unit_lowering(params.space)
+    return _densify(_lowering_blocks(params))
 
 
 def closed_form_sigma_minus(params: BosonizationParams) -> np.ndarray:
@@ -132,39 +173,20 @@ def sigma_three(space: FockSpace) -> np.ndarray:
     """
     if space.dim % 2 != 0:
         raise ValueError(f"dim={space.dim} is odd; sigma_three needs an even truncation")
-    return np.diag(np.array([-((-1.0) ** n) for n in range(space.dim)], dtype=complex))
+    return _densify(_diagonal_blocks(-1.0, 1.0, space.dim // 2))
 
 
 def parity_projectors(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal projectors ``(P_even, P_odd)`` onto even/odd levels."""
-    even = np.diag(np.array([1.0 if n % 2 == 0 else 0.0 for n in range(space.dim)], dtype=complex))
-    odd = np.eye(space.dim, dtype=complex) - even
-    return even, odd
-
-
-@dataclass(frozen=True)
-class PauliSet:
-    """The five pseudospin operators assembled from one ``sigma_-``."""
-
-    sigma_minus: np.ndarray
-    sigma_plus: np.ndarray
-    sigma_one: np.ndarray
-    sigma_two: np.ndarray
-    sigma_three: np.ndarray
+    """Diagonal projectors ``(P_even, P_odd)`` onto even/odd levels; any ``dim``."""
+    parity = np.arange(space.dim) % 2
+    return np.diag((parity == 0).astype(complex)), np.diag((parity == 1).astype(complex))
 
 
 def pauli_set(params: BosonizationParams) -> PauliSet:
     """Assemble ``sigma_-``, ``sigma_+ = sigma_-^dag``, ``sigma_1 = sigma_+ + sigma_-``,
     ``sigma_2 = -i(sigma_+ - sigma_-)`` and the diagonal ``sigma_3``."""
-    minus = sigma_minus(params)
-    plus = dagger(minus)
-    return PauliSet(
-        sigma_minus=minus,
-        sigma_plus=plus,
-        sigma_one=plus + minus,
-        sigma_two=-1j * (plus - minus),
-        sigma_three=sigma_three(params.space),
-    )
+    blocks = _pauli_blocks(params)
+    return PauliSet(**{field.name: _densify(getattr(blocks, field.name)) for field in fields(PauliSet)})
 
 
 def two_level_restriction(op: np.ndarray) -> np.ndarray:
@@ -190,13 +212,13 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     of ``sigma_3``, the alternating-representation rechecks of
     ``{sigma_-, sigma_3} = 0`` and ``[sigma_-, sigma_3] = 2 sigma_-``, and
     the nilpotency of ``sigma_+-``. All residuals are exactly zero on even
-    truncations.
+    truncations. Every operand is a ``(dim/2, 2, 2)`` stack of pair blocks.
     """
-    ops = pauli_set(params)
-    dim = params.space.dim
-    eye = np.eye(dim, dtype=complex)
-    zero = np.zeros((dim, dim), dtype=complex)
-    p_even, p_odd = parity_projectors(params.space)
+    ops = _pauli_blocks(params)
+    pairs = params.space.dim // 2
+    eye = _diagonal_blocks(1.0, 1.0, pairs)
+    zero = _diagonal_blocks(0.0, 0.0, pairs)
+    p_even, p_odd = _diagonal_blocks(1.0, 0.0, pairs), _diagonal_blocks(0.0, 1.0, pairs)
     triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}
 
     checks: list[tuple[str, str, np.ndarray]] = []

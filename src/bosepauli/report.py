@@ -173,21 +173,18 @@ def named_operator(name: str, dim: int, l: int) -> np.ndarray:
 
 
 def matrix_to_json(op: np.ndarray) -> str:
-    """Matrix as a JSON array of rows of [re, im] pairs."""
-    rows = [[[float(entry.real), float(entry.imag)] for entry in row] for row in op]
+    """Matrix as a JSON array of rows of [re, im] pairs. Adding 0.0 prints -0.0
+    as 0.0, so a dump does not depend on how the operator was built."""
+    rows = [[[float(entry.real), float(entry.imag)] for entry in row + 0.0] for row in op]
     return json.dumps(rows)
 
 
 def _number(value: float) -> str:
-    return format(value, ".12g")
+    return format(value + 0.0, ".12g")
 
 
 def matrix_to_csv(op: np.ndarray) -> str:
-    """Sparse triplet lines ``row,col,re,im``; zero entries are omitted."""
-    lines = []
-    for i in range(op.shape[0]):
-        for j in range(op.shape[1]):
-            entry = op[i, j]
-            if entry != 0:
-                lines.append(f"{i},{j},{_number(entry.real)},{_number(entry.imag)}")
+    """Sparse triplet lines ``row,col,re,im``; zero entries are omitted and
+    zero parts print unsigned."""
+    lines = [f"{i},{j},{_number(op[i, j].real)},{_number(op[i, j].imag)}" for i, j in zip(*np.nonzero(op))]
     return "\n".join(lines) + ("\n" if lines else "")

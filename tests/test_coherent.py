@@ -13,7 +13,6 @@ from bosepauli import (
     even_ket,
     f_coefficient,
     fock_ket,
-    inner,
     ladder_commutator_residual,
     max_abs_norm,
     nonlinear_coherent_ket,
@@ -36,7 +35,7 @@ def test_coherent_vacuum_limit():
 
 def test_coherent_norm_tail():
     for z in (0.5, 1.0, 2.0, 1.4 + 1.4j):
-        norm = inner(coherent_ket(SPACE_64, z), coherent_ket(SPACE_64, z)).real
+        norm = np.vdot(coherent_ket(SPACE_64, z), coherent_ket(SPACE_64, z)).real
         assert norm >= 1.0 - 1e-12
         assert norm <= 1.0 + 1e-12
 
@@ -83,7 +82,7 @@ def test_even_cat_norm_against_direct_sum():
     # <z|z>_e at z = 1: exp(-1) * sum over n of 1 / (2n)!
     direct = math.exp(-1) * sum(1.0 / math.factorial(2 * n) for n in range(0, 32))
     space = FockSpace(64)
-    norm = inner(even_ket(space, 1.0), even_ket(space, 1.0)).real
+    norm = np.vdot(even_ket(space, 1.0), even_ket(space, 1.0)).real
     assert abs(norm - direct) <= 1e-14
     assert abs(norm - math.exp(-1) * math.cosh(1)) <= 1e-14
     assert abs(norm - 0.5676676) <= 1e-7
@@ -133,6 +132,12 @@ def test_grid_validation():
         quadrature_grid(0, 4)
     with pytest.raises(ValueError):
         quadrature_grid(4, 0)
+
+
+def test_grid_rejects_non_finite_laguerre_rule():
+    # numpy's laggauss overflows its weights to NaN from about 187 nodes
+    with pytest.raises(ValueError, match="radial_count=187"):
+        quadrature_grid(187, 4)
 
 
 def test_grid_resolution_predicate():

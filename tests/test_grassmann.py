@@ -10,7 +10,6 @@ from bosepauli import (
     GrassmannScalar,
     apply_operator,
     eigen_check,
-    grassmann_ket,
     grassmann_scale,
     max_abs_amplitude,
     sigma_minus,
@@ -82,8 +81,8 @@ def test_pure_souls_are_nilpotent(soul):
 def test_ket_amplitude_round_trip():
     space = FockSpace(4)
     scalars = [GrassmannScalar(1, 0), GrassmannScalar(0, 2j), GrassmannScalar(-1, 1), GrassmannScalar(0, 0)]
-    ket = grassmann_ket(space, scalars)
-    assert ket.amplitudes == scalars
+    ket = GrassmannKet(space, np.array([s.body for s in scalars]), np.array([s.soul for s in scalars]))
+    assert [ket.amplitude(n) for n in range(4)] == scalars
 
 
 def test_ket_shape_validation():
@@ -94,7 +93,7 @@ def test_ket_shape_validation():
 
 def test_apply_identity_and_zero():
     space = FockSpace(4)
-    ket = grassmann_ket(space, [GrassmannScalar(1, 1j)] * 4)
+    ket = GrassmannKet(space, np.ones(4, dtype=complex), np.full(4, 1j))
     same = apply_operator(np.eye(4, dtype=complex), ket)
     assert np.array_equal(same.body, ket.body)
     assert np.array_equal(same.soul, ket.soul)
@@ -107,18 +106,15 @@ def test_sigma_minus_carries_theta_down_one_level():
     op = sigma_minus(BosonizationParams(2, space))
     ket = sigma_minus_eigenket(space, THETA)
     lowered = apply_operator(op, ket)
-    assert lowered.amplitudes == [GrassmannScalar(0, 1), GrassmannScalar(0, 0), GrassmannScalar(0, 0), GrassmannScalar(0, 0)]
+    assert np.array_equal(lowered.body, np.zeros(4))
+    assert np.array_equal(lowered.soul, [1, 0, 0, 0])
 
 
 def test_eigenket_amplitudes():
     space = FockSpace(4)
     ket = sigma_minus_eigenket(space, THETA)
-    assert ket.amplitudes == [
-        GrassmannScalar(1, 0),
-        GrassmannScalar(0, 1),
-        GrassmannScalar(0, 0),
-        GrassmannScalar(0, 0),
-    ]
+    assert np.array_equal(ket.body, [1, 0, 0, 0])
+    assert np.array_equal(ket.soul, [0, 1, 0, 0])
     doubled = sigma_minus_eigenket(space, 2 * THETA)
     assert doubled.amplitude(1) == GrassmannScalar(0, 2)
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bosepauli import (
     BosonizationParams,
@@ -21,6 +23,8 @@ from bosepauli import (
     two_level_restriction,
     verify_functional_equation,
 )
+from bosepauli import pauli
+from bosepauli.pauli import _densify
 
 EVEN_DIMS = (2, 4, 8, 16, 32, 64)
 EXPONENTS = (1, 2, 3, 4, 5, 6)
@@ -235,3 +239,56 @@ def test_catalog_exact_at_dim_64(l):
 def test_ladder_anticommutator_smallest_space():
     checks = {c.identity: c.residual for c in algebra_residuals(_params(3, 2))}
     assert checks["anticomm_sigma_plus_sigma_minus"] == 0.0
+
+
+@pytest.mark.parametrize("l", (1, 2))
+def test_catalog_exact_at_dim_4096(l):
+    for check in algebra_residuals(_params(l, 4096)):
+        assert check.residual == 0.0, check
+
+
+def test_catalog_operands_are_pair_block_stacks(monkeypatch):
+    shapes = set()
+
+    def recording(product):
+        def wrapped(a, b):
+            shapes.update((a.shape, b.shape))
+            return product(a, b)
+
+        return wrapped
+
+    monkeypatch.setattr(pauli, "commutator", recording(commutator))
+    monkeypatch.setattr(pauli, "anticommutator", recording(anticommutator))
+    algebra_residuals(_params(3, 16))
+    assert shapes == {(8, 2, 2)}
+
+
+# ------------------------------------------------------------- pair blocks
+
+
+def _unit_stacks(key):
+    # entries in {0, +-1, +-i}: every product and sum below is exact
+    return arrays(
+        np.complex128,
+        st.tuples(st.shared(st.integers(1, 6), key=key), st.just(2), st.just(2)),
+        elements=st.sampled_from((0, 1, -1, 1j, -1j)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_unit_stacks("pairs"), _unit_stacks("pairs"))
+def test_block_operations_commute_with_densifying(a, b):
+    dense_a, dense_b = _densify(a), _densify(b)
+    assert np.array_equal(_densify(commutator(a, b)), commutator(dense_a, dense_b))
+    assert np.array_equal(_densify(anticommutator(a, b)), anticommutator(dense_a, dense_b))
+    assert np.array_equal(_densify(dagger(a)), dagger(dense_a))
+    assert max_abs_norm(a) == max_abs_norm(dense_a)
+
+
+def test_densify_places_blocks_on_level_pairs():
+    blocks = np.arange(12, dtype=complex).reshape(3, 2, 2) + 1
+    dense = _densify(blocks)
+    assert dense.shape == (6, 6)
+    for n in range(3):
+        assert np.array_equal(dense[2 * n : 2 * n + 2, 2 * n : 2 * n + 2], blocks[n])
+    assert np.count_nonzero(dense) == 12

@@ -206,3 +206,18 @@ def test_cli_dump_json_sigma_three():
 def test_cli_dump_rejects_unknown_operator():
     proc = _run("dump", "--op", "hamiltonian", "--dim", "4")
     assert proc.returncode == 2
+
+
+def test_cli_dump_sigma_plus_has_no_signed_zeros():
+    for fmt in ("json", "csv"):
+        proc = _run("dump", "--op", "sigma_plus", "--dim", "4", "--l", "1", "--format", fmt)
+        assert proc.returncode == 0
+        assert "-0" not in proc.stdout
+    assert proc.stdout.splitlines() == ["1,0,1,0", "3,2,-1,0"]
+
+
+def test_cli_quadrature_rejects_non_finite_grid():
+    proc = _run("quadrature", "--dim", "2", "--radial", "187", "--angular", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "radial_count=187" in proc.stderr
