@@ -22,18 +22,23 @@ from .pauli import parity_projectors
 RESOLUTION_VARIANTS = ("even-plain", "odd-plain", "even-phased", "odd-phased")
 
 
-def _coherent_amplitudes(dim: int, z: complex, prefactor: bool = True) -> np.ndarray:
-    amps = np.zeros(dim, dtype=complex)
-    amp = complex(math.exp(-(abs(z) ** 2) / 2.0)) if prefactor else 1.0 + 0j
-    for n in range(dim):
-        amps[n] = amp
-        amp = amp * z / math.sqrt(n + 1)
-    return amps
+def _ladder_amplitudes(z, first, divisors: np.ndarray) -> np.ndarray:
+    """Amplitudes ``c_0 = first``, ``c_(n+1) = z c_n / d_n`` along a new last
+    axis, for every entry of ``z`` and the matching entry of ``first``.
+
+    ``divisors`` holds ``d_0 .. d_(dim-2)``. The running product starts from
+    ``first``, so a prefactor that underflows to zero keeps the whole row zero
+    instead of multiplying an overflowed ``z^n`` afterwards.
+    """
+    z, first = np.asarray(z), np.asarray(first)
+    steps = np.concatenate([first[..., None], z[..., None] / divisors], axis=-1)
+    return np.cumprod(steps, axis=-1)
 
 
 def coherent_ket(space: FockSpace, z: complex) -> np.ndarray:
     """Truncated coherent state, component ``n = exp(-|z|^2/2) z^n / sqrt(n!)``."""
-    return _coherent_amplitudes(space.dim, complex(z))
+    z = complex(z)
+    return _ladder_amplitudes(z, math.exp(-(abs(z) ** 2) / 2.0), np.sqrt(np.arange(1, space.dim)))
 
 
 def even_ket(space: FockSpace, z: complex) -> np.ndarray:
@@ -43,21 +48,21 @@ def even_ket(space: FockSpace, z: complex) -> np.ndarray:
     exactly zero. ``even_ket(z) + odd_ket(z)`` recovers ``coherent_ket(z)``
     componentwise.
     """
-    amps = _coherent_amplitudes(space.dim, complex(z))
+    amps = coherent_ket(space, z)
     amps[1::2] = 0.0
     return amps
 
 
 def odd_ket(space: FockSpace, z: complex) -> np.ndarray:
     """Odd cat ket: the odd-level half of :func:`coherent_ket`."""
-    amps = _coherent_amplitudes(space.dim, complex(z))
+    amps = coherent_ket(space, z)
     amps[0::2] = 0.0
     return amps
 
 
 def _quarter_turns(dim: int) -> np.ndarray:
     """``i^m`` on level ``m``: the phase the ``z -> iz`` substitution puts on ``z^m``."""
-    return np.array([(1.0 + 0j, 1j, -1.0 + 0j, -1j)[m % 4] for m in range(dim)])
+    return np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
 
 
 def phase_relation_residual(space: FockSpace, z: complex) -> float:
@@ -109,14 +114,6 @@ def quadrature_grid(radial_count: int, angular_count: int) -> QuadratureGrid:
     return QuadratureGrid(nodes, weights, angular_count)
 
 
-def _bare_parity_ket(dim: int, z: complex, parity: int) -> np.ndarray:
-    # Cat-state amplitudes without the exp(-|z|^2/2) prefactor; the Gaussian
-    # of |u><v| lives in the Laguerre weights instead.
-    amps = _coherent_amplitudes(dim, z, prefactor=False)
-    amps[1 - parity::2] = 0.0
-    return amps
-
-
 def _resolution_target(space: FockSpace, parity: int, phased: bool) -> np.ndarray:
     projector = parity_projectors(space)[parity]
     if not phased:
@@ -144,16 +141,19 @@ def resolution_residual(space: FockSpace, variant: str, grid: QuadratureGrid) ->
     parity = 0 if variant.startswith("even") else 1
     phased = variant.endswith("phased")
 
+    # z = sqrt(t_k) e^(i theta_j) splits each bare amplitude z^n / sqrt(n!)
+    # into a radial and an angular factor, so the grid sum of |u><v| is the
+    # Hadamard product of a radial and an angular Gram matrix. sqrt(w_k) enters
+    # as the radial recursion's first term: the weight meets each factor before
+    # the two factors meet, so no intermediate overflows at large nodes.
     dim = space.dim
-    accumulated = np.zeros((dim, dim), dtype=complex)
-    for t_node, weight in zip(grid.radial_nodes, grid.radial_weights):
-        radius = math.sqrt(t_node)
-        for j in range(grid.angular_count):
-            z = radius * np.exp(2j * math.pi * j / grid.angular_count)
-            u = _bare_parity_ket(dim, 1j * z if phased else z, parity)
-            v = _bare_parity_ket(dim, z, parity)
-            accumulated += weight * np.outer(u, v.conj())
-    accumulated /= grid.angular_count
+    m = grid.angular_count
+    radial = _ladder_amplitudes(np.sqrt(grid.radial_nodes), np.sqrt(grid.radial_weights), np.sqrt(np.arange(1, dim)))
+    radial[:, 1 - parity :: 2] = 0.0
+    angular = np.exp(2j * math.pi * (np.outer(np.arange(m), np.arange(dim)) % m) / m)
+    accumulated = (radial.T @ radial) * (angular.T @ angular.conj() / m)
+    if phased:
+        accumulated *= _quarter_turns(dim)[:, None]
     return max_abs_norm(accumulated - _resolution_target(space, parity, phased))
 
 
@@ -180,7 +180,7 @@ def _require_regular(values: np.ndarray) -> None:
 
 def deformed_annihilator(space: FockSpace, f) -> np.ndarray:
     """Deformed lowering operator ``f(N) a``."""
-    return np.diag(_f_values(space, f)) @ annihilator(space)
+    return _f_values(space, f)[:, None] * annihilator(space)
 
 
 def nonlinear_coherent_ket(space: FockSpace, f, z: complex, normalize: bool = False) -> np.ndarray:
@@ -194,11 +194,8 @@ def nonlinear_coherent_ket(space: FockSpace, f, z: complex, normalize: bool = Fa
     """
     values = _f_values(space, f)
     _require_regular(values)
-    z = complex(z)
-    amps = np.zeros(space.dim, dtype=complex)
-    amps[0] = 1.0
-    for n in range(space.dim - 1):
-        amps[n + 1] = z * amps[n] / (values[n] * math.sqrt(n + 1))
+    divisors = values[:-1] * np.sqrt(np.arange(1, space.dim))
+    amps = _ladder_amplitudes(complex(z), 1.0, divisors)
     if normalize:
         amps /= np.linalg.norm(amps)
     return amps
@@ -230,8 +227,8 @@ def ladder_commutator_residual(space: FockSpace, f, margin: int = 1) -> float:
     _require_regular(values)
     shifted = np.ones(space.dim, dtype=complex)
     shifted[1:] = values[:-1]
-    lowering = np.diag(values) @ annihilator(space)
-    raising = np.diag(1.0 / shifted) @ creator(space)
+    lowering = values[:, None] * annihilator(space)
+    raising = (1.0 / shifted)[:, None] * creator(space)
     defect = (lowering @ raising - raising @ lowering) - np.eye(space.dim, dtype=complex)
     keep = space.dim - margin
     return max_abs_norm(defect[:keep, :keep])

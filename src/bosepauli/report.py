@@ -12,13 +12,13 @@ import numpy as np
 
 from ._version import __version__
 from .coherent import quadrature_grid, resolution_residual
-from .fock import FockSpace
+from .fock import FockSpace, dagger
 from .grassmann import GrassmannScalar, eigen_check
 from .pauli import (
     BosonizationParams,
     algebra_residuals,
     parity_projectors,
-    pauli_set,
+    sigma_minus,
     sigma_three,
     verify_functional_equation,
 )
@@ -161,8 +161,8 @@ def named_operator(name: str, dim: int, l: int) -> np.ndarray:
     """Resolve a dump target by name on an even-dimensional space."""
     space = FockSpace(dim)
     if name in ("sigma_minus", "sigma_plus"):
-        ops = pauli_set(BosonizationParams(l, space))
-        return ops.sigma_minus if name == "sigma_minus" else ops.sigma_plus
+        lowering = sigma_minus(BosonizationParams(l, space))
+        return lowering if name == "sigma_minus" else dagger(lowering)
     if name == "sigma_three":
         return sigma_three(space)
     if name == "p_even":
@@ -174,9 +174,10 @@ def named_operator(name: str, dim: int, l: int) -> np.ndarray:
 
 def matrix_to_json(op: np.ndarray) -> str:
     """Matrix as a JSON array of rows of [re, im] pairs. Adding 0.0 prints -0.0
-    as 0.0, so a dump does not depend on how the operator was built."""
-    rows = [[[float(entry.real), float(entry.imag)] for entry in row + 0.0] for row in op]
-    return json.dumps(rows)
+    as 0.0, so a dump does not depend on how the operator was built. Rows are
+    serialized one at a time, so no nested list of every entry is held at once."""
+    pairs = np.stack([op.real + 0.0, op.imag + 0.0], axis=-1)
+    return "[" + ", ".join(json.dumps(row.tolist()) for row in pairs) + "]"
 
 
 def _number(value: float) -> str:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -54,6 +55,26 @@ def test_coherent_amplitudes_against_factorial_series():
     for n in range(12):
         expected = prefactor * z**n / math.sqrt(math.factorial(n))
         assert abs(ket[n] - expected) <= 1e-14
+
+
+def test_coherent_amplitudes_against_high_precision():
+    dim = 32
+    with mpmath.workdps(50):
+        for z in (0.3, 1.1 + 0.4j, -2.5j, 4.0 - 3.0j):
+            ket = coherent_ket(FockSpace(dim), z)
+            zm = mpmath.mpc(z)
+            prefactor = mpmath.exp(-abs(zm) ** 2 / 2)
+            for n in range(dim):
+                exact = complex(prefactor * zm**n / mpmath.sqrt(mpmath.factorial(n)))
+                assert abs(ket[n] - exact) <= 1e-14 * abs(exact) + 1e-300
+
+
+def test_coherent_ket_underflow_stays_finite():
+    # exp(-|z|^2/2) underflows to 0 at |z| = 40 while z^n / sqrt(n!) would
+    # overflow: the Gaussian must be the recursion's first term, not a factor
+    # applied afterwards, or the ket turns into NaN with a RuntimeWarning.
+    ket = coherent_ket(FockSpace(2000), 40)
+    assert np.all(np.isfinite(ket))
 
 
 # ----------------------------------------------------------------- cat kets
@@ -176,6 +197,51 @@ def test_resolution_independent_of_node_order():
     assert abs(forward - backward) <= 1e-13
 
 
+def _loop_resolution_residual(space, variant, grid):
+    # Reference: the grid sum of |u><v| over every point, one outer product
+    # at a time, with the cat amplitudes built level by level.
+    def bare_parity_ket(z, parity):
+        amps = np.zeros(space.dim, dtype=complex)
+        amp = 1.0 + 0j
+        for n in range(space.dim):
+            amps[n] = amp
+            amp = amp * z / math.sqrt(n + 1)
+        amps[1 - parity :: 2] = 0.0
+        return amps
+
+    parity = 0 if variant.startswith("even") else 1
+    phased = variant.endswith("phased")
+    accumulated = np.zeros((space.dim, space.dim), dtype=complex)
+    for t_node, weight in zip(grid.radial_nodes, grid.radial_weights):
+        for j in range(grid.angular_count):
+            z = math.sqrt(t_node) * np.exp(2j * math.pi * j / grid.angular_count)
+            u = bare_parity_ket(1j * z if phased else z, parity)
+            v = bare_parity_ket(z, parity)
+            accumulated += weight * np.outer(u, v.conj())
+    accumulated /= grid.angular_count
+    target = np.diag((np.arange(space.dim) % 2 == parity).astype(complex))
+    if phased:
+        target = np.array([1, 1j, -1, -1j])[np.arange(space.dim) % 4, None] * target
+    return max_abs_norm(accumulated - target)
+
+
+@pytest.mark.parametrize("variant", RESOLUTION_VARIANTS)
+def test_resolution_matches_outer_product_loop(variant):
+    # includes under-resolved grids, whose large defects must agree too
+    for dim in (2, 4, 8, 16):
+        for k in (1, 2, 8, 16):
+            for m in (2, 4, 16, 64):
+                space, grid = FockSpace(dim), quadrature_grid(k, m)
+                expected = _loop_resolution_residual(space, variant, grid)
+                assert abs(resolution_residual(space, variant, grid) - expected) <= 1e-13
+
+
+@pytest.mark.parametrize("variant", RESOLUTION_VARIANTS)
+def test_resolution_finite_on_largest_grid(variant):
+    # the largest finite Laguerre rule has nodes near 713 and weights near 1e-308
+    assert math.isfinite(resolution_residual(FockSpace(512), variant, quadrature_grid(186, 1024)))
+
+
 def test_resolution_rejects_unknown_variant():
     with pytest.raises(ValueError):
         resolution_residual(FockSpace(4), "even", quadrature_grid(2, 4))
@@ -201,6 +267,19 @@ def test_recursion_against_closed_form_product():
         denominator = math.sqrt(math.factorial(n)) * math.prod(f(k) for k in range(n))
         expected = z**n / denominator
         assert abs(ket[n] - expected) <= 1e-12 * abs(expected) + 1e-13
+
+
+def test_recursion_against_high_precision():
+    dim = 32
+    f = lambda n: 1.0 / (n + 1)
+    with mpmath.workdps(50):
+        for z in (0.8, 0.5 - 1.5j):
+            ket = nonlinear_coherent_ket(FockSpace(dim), f, z)
+            zm = mpmath.mpc(z)
+            for n in range(dim):
+                # prod_{k<n} f(k) = 1/n!, so c_n = z^n sqrt(n!)
+                exact = complex(zm**n * mpmath.sqrt(mpmath.factorial(n)))
+                assert abs(ket[n] - exact) <= 1e-14 * abs(exact) + 1e-300
 
 
 def test_eigen_residual_small_for_deformed_states():
@@ -235,6 +314,14 @@ def test_deformed_annihilator_matches_coefficient_action():
     op = deformed_annihilator(space, f)
     ket = fock_ket(space, 3)
     assert np.allclose(op @ ket, f(2) * math.sqrt(3) * fock_ket(space, 2), atol=1e-14)
+
+
+def test_deformed_annihilator_scales_rows_like_diagonal_product():
+    for dim in (16, 512):
+        space = FockSpace(dim)
+        values = np.array([(1.0 + 0.5j) / (n + 1) - 0.25j * n for n in range(dim)])
+        expected = np.diag(values) @ annihilator(space)
+        assert np.array_equal(deformed_annihilator(space, values), expected)
 
 
 # -------------------------------------------------------- ladder commutator

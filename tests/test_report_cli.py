@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from bosepauli import BosonizationParams, FockSpace, pauli_set
 from bosepauli.report import (
     CheckRecord,
     VerificationReport,
@@ -114,6 +115,13 @@ def test_named_operator_projectors():
     assert np.array_equal(named_operator("p_odd", 4, 2), np.diag([0, 1, 0, 1]).astype(complex))
 
 
+def test_named_ladder_operators_match_pauli_set():
+    for dim, l in ((2, 1), (6, 3), (8, 2)):
+        ops = pauli_set(BosonizationParams(l, FockSpace(dim)))
+        assert np.array_equal(named_operator("sigma_minus", dim, l), ops.sigma_minus)
+        assert np.array_equal(named_operator("sigma_plus", dim, l), ops.sigma_plus)
+
+
 def test_matrix_csv_omits_zeros():
     text = matrix_to_csv(named_operator("sigma_minus", 4, 2))
     assert text.splitlines() == ["0,1,1,0", "2,3,1,0"]
@@ -122,6 +130,13 @@ def test_matrix_csv_omits_zeros():
 def test_matrix_csv_signed_entries():
     text = matrix_to_csv(named_operator("sigma_minus", 6, 1))
     assert text.splitlines() == ["0,1,1,0", "2,3,-1,0", "4,5,1,0"]
+
+
+def test_matrix_json_matches_whole_matrix_dump():
+    # reference: one json.dumps of the nested list of every entry
+    op = np.array([[-0.0 - 0.0j, 1.5 - 0.25j, 1e-300j], [-2.0 + 0.0j, 0.1 + 0.2j, -0.0 + 3.0j]])
+    whole = json.dumps([[[float(e.real), float(e.imag)] for e in row + 0.0] for row in op])
+    assert matrix_to_json(op) == whole
 
 
 def test_matrix_json_shape():
