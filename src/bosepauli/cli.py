@@ -5,12 +5,14 @@ Subcommands: ``verify`` (identity catalog and functional equation sweeps),
 (eigenvector checks), ``dump`` (matrix output). Reports go to stdout as JSON
 (default) or CSV. Exit status: 0 when every record passes, 1 on any failing
 record, 2 on usage errors, including parameters the library rejects with a
-``ValueError`` (such as a radial node count too large for a finite grid).
+``ValueError``, and 141 when the reader closes stdout before the report is out.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
+import os
 import sys
 
 from .coherent import RESOLUTION_VARIANTS
@@ -99,6 +101,8 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # false for NaN too
+        parser.error(f"--tol must be a finite number >= 0, got {args.tol}")
     try:
         return _dispatch(parser, args)
     except ValueError as exc:  # a parameter the library rejects is a usage error
@@ -142,7 +146,13 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early (``| head``): exit as SIGPIPE would, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit-time flush cannot raise again
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

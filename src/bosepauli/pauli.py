@@ -30,7 +30,6 @@ from .fock import (
     anticommutator,
     commutator,
     dagger,
-    fock_ket,
     max_abs_norm,
 )
 
@@ -147,20 +146,17 @@ def sigma_minus(params: BosonizationParams) -> np.ndarray:
 
 
 def closed_form_sigma_minus(params: BosonizationParams) -> np.ndarray:
-    """Outer-product oracle for :func:`sigma_minus`.
+    """Closed-form oracle for :func:`sigma_minus`.
 
-    Sums ``|2n><2n+1|`` over the retained pairs, with constant sign for even
-    ``l`` and alternating sign ``(-1)^n`` for odd ``l``. Built from basis kets
-    alone, independent of the ``f(N) a`` route, so the two constructions can
-    be compared entrywise.
+    Writes ``|2n><2n+1|`` for every retained pair, with constant sign for even
+    ``l`` and alternating sign ``(-1)^n`` for odd ``l``. Built by index
+    assignment alone, independent of the ``f(N) a`` route and of the pair
+    blocks, so the two constructions can be compared entrywise.
     """
-    space = params.space
-    out = np.zeros((space.dim, space.dim), dtype=complex)
-    sign = 1.0
-    for n in range(space.dim // 2):
-        out += sign * np.outer(fock_ket(space, 2 * n), fock_ket(space, 2 * n + 1))
-        if params.l % 2 == 1:
-            sign = -sign
+    dim = params.space.dim
+    out = np.zeros((dim, dim), dtype=complex)
+    n = np.arange(dim // 2)
+    out[2 * n, 2 * n + 1] = (-1.0) ** n if params.l % 2 == 1 else 1.0
     return out
 
 
@@ -221,7 +217,7 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     p_even, p_odd = _diagonal_blocks(1.0, 0.0, pairs), _diagonal_blocks(0.0, 1.0, pairs)
     triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}
 
-    checks: list[tuple[str, str, np.ndarray]] = []
+    checks: list[tuple[str, str, np.ndarray | str]] = []
     for name_i, op_i in triple.items():
         for name_j, op_j in triple.items():
             target = 2.0 * eye if name_i == name_j else zero
@@ -239,10 +235,12 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     checks.append(("anticomm_sigma_plus_sigma_minus", "(10)", anticommutator(ops.sigma_plus, ops.sigma_minus) - eye))
     checks.append(("sigma_plus_sigma_minus_equals_odd_projector", "(29)", ops.sigma_plus @ ops.sigma_minus - p_odd))
     checks.append(("sigma_minus_sigma_plus_equals_even_projector", "(29)", ops.sigma_minus @ ops.sigma_plus - p_even))
-    checks.append(("sigma_three_equals_ladder_commutator", "(30)", ops.sigma_three - commutator(ops.sigma_plus, ops.sigma_minus)))
-    checks.append(("anticomm_sigma_minus_sigma_three_recheck", "(31)", anticommutator(ops.sigma_minus, ops.sigma_three)))
-    checks.append(("comm_sigma_minus_sigma_three_recheck", "(32)", commutator(ops.sigma_minus, ops.sigma_three) - 2.0 * ops.sigma_minus))
+    # (30)-(32) restate earlier entries term for term ((30) negated): each reuses that entry's residual.
+    checks.append(("sigma_three_equals_ladder_commutator", "(30)", "comm_sigma_plus_sigma_minus"))
+    checks.append(("anticomm_sigma_minus_sigma_three_recheck", "(31)", "anticomm_sigma_minus_sigma_three"))
+    checks.append(("comm_sigma_minus_sigma_three_recheck", "(32)", "comm_sigma_minus_sigma_three"))
     checks.append(("sigma_minus_squared", "(1)", ops.sigma_minus @ ops.sigma_minus))
     checks.append(("sigma_plus_squared", "(1)", ops.sigma_plus @ ops.sigma_plus))
 
-    return [IdentityCheck(name, eq, max_abs_norm(diff)) for name, eq, diff in checks]
+    residuals = {name: max_abs_norm(diff) for name, _, diff in checks if not isinstance(diff, str)}
+    return [IdentityCheck(name, eq, residuals[diff if isinstance(diff, str) else name]) for name, eq, diff in checks]

@@ -174,10 +174,12 @@ def named_operator(name: str, dim: int, l: int) -> np.ndarray:
 
 def matrix_to_json(op: np.ndarray) -> str:
     """Matrix as a JSON array of rows of [re, im] pairs. Adding 0.0 prints -0.0
-    as 0.0, so a dump does not depend on how the operator was built. Rows are
-    serialized one at a time, so no nested list of every entry is held at once."""
-    pairs = np.stack([op.real + 0.0, op.imag + 0.0], axis=-1)
-    return "[" + ", ".join(json.dumps(row.tolist()) for row in pairs) + "]"
+    as 0.0, so a dump does not depend on how the operator was built. Zeros share
+    one ``[0.0, 0.0]`` token, so only the nonzero entries are formatted one by one."""
+    rows = [["[0.0, 0.0]"] * op.shape[1] for _ in range(op.shape[0])]
+    for i, j in zip(*np.nonzero(op)):
+        rows[i][j] = json.dumps([op[i, j].real + 0.0, op[i, j].imag + 0.0])
+    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
 def _number(value: float) -> str:

@@ -115,6 +115,24 @@ def test_oracle_equivalence(l, dim):
     assert np.array_equal(sigma_minus(_params(l, dim)), closed_form_sigma_minus(_params(l, dim)))
 
 
+def _outer_product_sigma_minus(params):
+    # reference: the sum of |2n><2n+1| outer products of basis kets
+    space = params.space
+    out = np.zeros((space.dim, space.dim), dtype=complex)
+    sign = 1.0
+    for n in range(space.dim // 2):
+        out += sign * np.outer(fock_ket(space, 2 * n), fock_ket(space, 2 * n + 1))
+        if params.l % 2 == 1:
+            sign = -sign
+    return out
+
+
+@pytest.mark.parametrize("l", EXPONENTS)
+def test_closed_form_matches_outer_product_sum(l):
+    for dim in range(2, 65, 2):
+        assert np.array_equal(closed_form_sigma_minus(_params(l, dim)), _outer_product_sigma_minus(_params(l, dim)))
+
+
 def test_closed_form_smallest_space():
     assert np.array_equal(closed_form_sigma_minus(_params(1, 2)), np.array([[0, 1], [0, 0]], dtype=complex))
 
@@ -228,6 +246,13 @@ def test_catalog_has_thirty_identities():
     assert "anticomm_sigma_one_sigma_two" in names
     assert "sigma_three_equals_ladder_commutator" in names
     assert "comm_sigma_minus_sigma_three_recheck" in names
+
+
+def test_catalog_rechecks_keep_their_paper_labels():
+    labels = {c.identity: c.equation for c in algebra_residuals(_params(1, 8))}
+    assert labels["sigma_three_equals_ladder_commutator"] == "(30)"
+    assert labels["anticomm_sigma_minus_sigma_three_recheck"] == "(31)"
+    assert labels["comm_sigma_minus_sigma_three_recheck"] == "(32)"
 
 
 @pytest.mark.parametrize("l", (1, 2))

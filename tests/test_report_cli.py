@@ -1,12 +1,17 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bosepauli import BosonizationParams, FockSpace, pauli_set
 from bosepauli.report import (
+    DUMPABLE_OPERATORS,
     CheckRecord,
     VerificationReport,
     algebra_suite,
@@ -139,6 +144,41 @@ def test_matrix_json_matches_whole_matrix_dump():
     assert matrix_to_json(op) == whole
 
 
+def _whole_matrix_json(op):
+    # reference: one json.dumps of the nested list of every [re, im] pair
+    return json.dumps(np.stack([op.real + 0.0, op.imag + 0.0], -1).tolist())
+
+
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, -1e-310]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_ENTRY = st.one_of(
+    st.sampled_from([0j, complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0)]),
+    st.builds(complex, _PART, _PART),
+)
+_SHAPE = st.one_of(
+    st.just((0, 0)),
+    st.integers(1, 6).map(lambda n: (1, n)),
+    st.integers(1, 6).map(lambda n: (n, 1)),
+    st.tuples(st.integers(0, 7), st.integers(0, 7)),
+)
+
+
+@given(arrays(np.complex128, _SHAPE, elements=_ENTRY))
+def test_matrix_json_matches_whole_matrix_dump_on_sparse_matrices(op):
+    assert matrix_to_json(op) == _whole_matrix_json(op)
+
+
+@pytest.mark.parametrize("l", (1, 2))
+@pytest.mark.parametrize("dim", (2, 6, 64))
+@pytest.mark.parametrize("name", DUMPABLE_OPERATORS)
+def test_matrix_json_named_operators_match_whole_matrix_dump(name, dim, l):
+    op = named_operator(name, dim, l)
+    assert matrix_to_json(op) == _whole_matrix_json(op)
+
+
 def test_matrix_json_shape():
     rows = json.loads(matrix_to_json(named_operator("sigma_three", 4, 2)))
     assert rows == [
@@ -169,6 +209,36 @@ def test_cli_verify_rejects_odd_dim():
     proc = _run("verify", "--dims", "3", "--ls", "1")
     assert proc.returncode == 2
     assert "even" in proc.stderr
+
+
+@pytest.mark.parametrize("command", (("verify", "--dims", "2", "--ls", "1"), ("quadrature", "--dim", "2")))
+@pytest.mark.parametrize("tol", ("nan", "inf", "-1"))
+def test_cli_rejects_non_finite_or_negative_tolerance(command, tol):
+    proc = _run(*command, "--tol", tol)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--tol" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    (
+        ("grassmann", "--dims", "2", "--ls", "1"),  # fits the stdout buffer: fails at the final flush
+        ("dump", "--op", "sigma_minus", "--dim", "256"),  # ~0.8 MB: fails inside print
+    ),
+)
+def test_cli_quits_quietly_when_stdout_closes_early(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes anything
+    buffered = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bosepauli", *args], stdout=write_end, stderr=subprocess.PIPE, env=buffered
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""
 
 
 def test_cli_verify_rejects_empty_exponent_list():
