@@ -100,9 +100,15 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--tol" in argv[:-1]:  # as --tol=VALUE, since argparse takes a VALUE like -1e-3 or -inf for an option
+        at = argv.index("--tol")
+        argv[at : at + 2] = ["--tol=" + argv[at + 1]]
     args = parser.parse_args(argv)
     if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # false for NaN too
         parser.error(f"--tol must be a finite number >= 0, got {args.tol}")
+    if "tol" in args:
+        args.tol += 0.0  # -0.0 passes the range check; reports print it unsigned
     try:
         return _dispatch(parser, args)
     except ValueError as exc:  # a parameter the library rejects is a usage error

@@ -195,9 +195,12 @@ def nonlinear_coherent_ket(space: FockSpace, f, z: complex, normalize: bool = Fa
     values = _f_values(space, f)
     _require_regular(values)
     divisors = values[:-1] * np.sqrt(np.arange(1, space.dim))
-    amps = _ladder_amplitudes(complex(z), 1.0, divisors)
+    with np.errstate(over="ignore", invalid="ignore"):
+        amps = _ladder_amplitudes(complex(z), 1.0, divisors)
+    if not np.all(np.isfinite(amps)):
+        raise ValueError(f"the amplitude at level {np.argmin(np.isfinite(amps))} is not finite for z={z}")
     if normalize:
-        amps /= np.linalg.norm(amps)
+        amps /= math.hypot(*np.abs(amps))  # unlike np.linalg.norm, cannot overflow past 1e154
     return amps
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +29,6 @@ from .fock import (
     anticommutator,
     commutator,
     dagger,
-    max_abs_norm,
 )
 
 
@@ -57,18 +55,19 @@ def f_coefficient(n: int, l: int) -> float:
 def verify_functional_equation(l: int, n_max: int) -> float:
     """Largest deviation of ``(n+1) f^2(n) + n f^2(n-1) - 1`` for ``n <= n_max``.
 
-    Includes the ``n = 0`` boundary term ``|f^2(0) - 1|``. Each term is
-    evaluated in exact rational arithmetic (``f^2(n)`` is the rational
-    ``cos^(2l)(pi n/2) / (n+1)``), so the returned maximum is exactly ``0.0``
-    whenever the recurrence holds.
+    Includes the ``n = 0`` boundary term ``|f^2(0) - 1|``. All terms at once, as
+    exact int64 numerators over the common denominator ``n(n+1)``, both below
+    ``2**53`` (a larger ``n_max`` is rejected): one division rounds each exact
+    rational once, so the maximum is exactly ``0.0`` when the recurrence holds.
     """
-    def f_squared(n: int) -> Fraction:
-        return Fraction(_cos_half_pi(n) ** (2 * l), n + 1)
-
-    worst = abs(1 * f_squared(0) - 1)
-    for n in range(1, n_max + 1):
-        worst = max(worst, abs((n + 1) * f_squared(n) + n * f_squared(n - 1) - 1))
-    return float(worst)
+    table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n = (n+1) f^2(n) by n mod 4
+    if n_max < 0 or n_max * (n_max + 1) * (2 * max(map(abs, table)) + 1) >= 2**53:
+        raise ValueError(f"n_max={n_max} must be >= 0 and keep every numerator below 2**53")
+    c = np.array(table, dtype=np.int64)[np.arange(n_max + 1) % 4]
+    n = np.arange(1, n_max + 1, dtype=np.int64)
+    den = n * (n + 1)
+    num = (n + 1) * n * c[1:] + n * (n + 1) * c[:-1] - den
+    return float(max(abs(c[0] - 1), np.max(np.abs(num) / den, initial=0.0)))
 
 
 @dataclass(frozen=True)
@@ -196,6 +195,7 @@ class IdentityCheck(NamedTuple):
     identity: str
     equation: str
     residual: float
+    blocks: np.ndarray  # the residual on each pair block; ``residual`` is their maximum
 
 
 def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
@@ -208,7 +208,9 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     of ``sigma_3``, the alternating-representation rechecks of
     ``{sigma_-, sigma_3} = 0`` and ``[sigma_-, sigma_3] = 2 sigma_-``, and
     the nilpotency of ``sigma_+-``. All residuals are exactly zero on even
-    truncations. Every operand is a ``(dim/2, 2, 2)`` stack of pair blocks.
+    truncations. Every operand is a ``(dim/2, 2, 2)`` stack of pair blocks;
+    block ``n`` depends only on ``n`` and ``l``, so each check also carries its
+    residual on every block, and a smaller even ``dim`` owns a prefix of them.
     """
     ops = _pauli_blocks(params)
     pairs = params.space.dim // 2
@@ -242,5 +244,6 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     checks.append(("sigma_minus_squared", "(1)", ops.sigma_minus @ ops.sigma_minus))
     checks.append(("sigma_plus_squared", "(1)", ops.sigma_plus @ ops.sigma_plus))
 
-    residuals = {name: max_abs_norm(diff) for name, _, diff in checks if not isinstance(diff, str)}
-    return [IdentityCheck(name, eq, residuals[diff if isinstance(diff, str) else name]) for name, eq, diff in checks]
+    blocks = {name: np.abs(diff).max(axis=(1, 2)) for name, _, diff in checks if not isinstance(diff, str)}
+    rows = [blocks[diff if isinstance(diff, str) else name] for name, _, diff in checks]
+    return [IdentityCheck(name, eq, float(row.max()), row) for (name, eq, _), row in zip(checks, rows)]

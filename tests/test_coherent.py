@@ -303,6 +303,19 @@ def test_vanishing_f_at_top_level_is_allowed():
     assert np.all(np.isfinite(ket.real))
 
 
+def test_overflowing_deformed_ket_names_the_first_non_finite_level_and_z():
+    # c_n = 3^n sqrt(n!) for f(n) = 1/(n+1): the first level past the double range
+    first = next(n for n in range(400) if n * math.log(3.0) + 0.5 * math.lgamma(n + 1) > math.log(np.finfo(float).max))
+    f = lambda n: 1.0 / (n + 1)
+    for check in (nonlinear_coherent_ket, nonlinear_eigen_residual):
+        with pytest.raises(ValueError, match=rf"level {first} .*z=3\.0"):
+            check(FockSpace(400), f, 3.0)
+    assert np.all(np.isfinite(nonlinear_coherent_ket(FockSpace(first), f, 3.0)))
+    for dim in (120, first):  # amplitudes past 1e154, whose plain norm overflows
+        assert abs(np.linalg.norm(nonlinear_coherent_ket(FockSpace(dim), f, 3.0, normalize=True)) - 1.0) < 1e-12
+        assert nonlinear_eigen_residual(FockSpace(dim), f, 3.0) <= 1e-13
+
+
 def test_deformation_values_must_be_finite():
     with pytest.raises(ValueError):
         nonlinear_coherent_ket(FockSpace(4), lambda n: math.inf, 0.5)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,41 @@ def test_functional_equation_ground_term():
     # the n = 0 constraint alone forces f(0)^2 = 1
     for l in EXPONENTS:
         assert f_coefficient(0, l) ** 2 == 1.0
+
+
+def _fraction_functional_equation(l, n_max):
+    # reference: every term in exact rational arithmetic, one level at a time
+    def f_squared(n):
+        return Fraction(pauli._cos_half_pi(n) ** (2 * l), n + 1)
+
+    worst = abs(1 * f_squared(0) - 1)
+    for n in range(1, n_max + 1):
+        worst = max(worst, abs((n + 1) * f_squared(n) + n * f_squared(n - 1) - 1))
+    return float(worst)
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 2, 999, 1000))
+@pytest.mark.parametrize("l", range(1, 13))
+def test_functional_equation_matches_rational_reference(l, n_max):
+    fast = verify_functional_equation(l, n_max)
+    assert fast == _fraction_functional_equation(l, n_max)
+    assert math.copysign(1.0, fast) == 1.0
+
+
+@pytest.mark.parametrize("table", ((1, 0, 2, 0), (1, 1, -1, 0), (0, 0, -1, 0), (1, 0, 1, 2)))
+@pytest.mark.parametrize("l", (1, 2, 12))
+def test_functional_equation_reports_a_wrong_cosine_table(monkeypatch, table, l):
+    monkeypatch.setattr(pauli, "_cos_half_pi", lambda n: table[n % 4])
+    for n_max in (0, 1, 5, 1000):
+        expected = _fraction_functional_equation(l, n_max)
+        assert verify_functional_equation(l, n_max) == expected
+    assert expected != 0.0
+
+
+@pytest.mark.parametrize("n_max", (-1, -1000, 2**26, 10**9))
+def test_functional_equation_rejects_n_max_outside_the_exact_range(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        verify_functional_equation(1, n_max)
 
 
 # ------------------------------------------------------------------ sigma_-

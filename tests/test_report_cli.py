@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bosepauli import BosonizationParams, FockSpace, pauli_set
+from bosepauli import BosonizationParams, FockSpace, algebra_residuals, pauli_set, verify_functional_equation
+from bosepauli import pauli
 from bosepauli.report import (
     DUMPABLE_OPERATORS,
+    FUNCTIONAL_EQUATION_N_MAX,
     CheckRecord,
     VerificationReport,
     algebra_suite,
@@ -84,6 +86,60 @@ def test_algebra_suite_record_count_and_passes():
     report = algebra_suite(dims, ls)
     assert len(report.records) == len(ls) * (1 + len(dims) * 30)
     assert report.all_passed()
+
+
+def _per_dim_algebra_suite(dims, ls):
+    # reference: one whole catalog run for every (dim, l) pair
+    records = [
+        CheckRecord(
+            "functional_equation",
+            "(14)",
+            {"l": l, "n_max": FUNCTIONAL_EQUATION_N_MAX},
+            verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX),
+            0.0,
+        )
+        for l in ls
+    ]
+    for dim in dims:
+        for l in ls:
+            for check in algebra_residuals(BosonizationParams(l, FockSpace(dim))):
+                records.append(CheckRecord(check.identity, check.equation, {"dim": dim, "l": l}, check.residual, 0.0))
+    return VerificationReport(records)
+
+
+SWEEP_DIMS = [64, 2, 16, 2, 256]  # unsorted, with a duplicate
+
+
+def test_algebra_suite_matches_per_dim_catalog_runs():
+    ls = list(range(1, 13))
+    fast, reference = algebra_suite(SWEEP_DIMS, ls), _per_dim_algebra_suite(SWEEP_DIMS, ls)
+    assert fast.to_json() == reference.to_json()
+    assert fast.to_csv() == reference.to_csv()
+
+
+@pytest.mark.parametrize("block", (0, 1, 7, 31, 127))
+def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(monkeypatch, block):
+    lowering_blocks = pauli._lowering_blocks
+
+    def defective(params):
+        blocks = lowering_blocks(params)
+        if params.space.dim // 2 > block:
+            blocks[block] += np.array([[0.25, 0.0], [0.5j, 0.0]])
+        return blocks
+
+    monkeypatch.setattr(pauli, "_lowering_blocks", defective)
+    ls = [1, 2]
+    fast = algebra_suite(SWEEP_DIMS, ls)
+    assert fast.to_json() == _per_dim_algebra_suite(SWEEP_DIMS, ls).to_json()
+    for dim in SWEEP_DIMS:
+        for l in ls:
+            worst = max(r.residual for r in fast.records if r.params == {"dim": dim, "l": l})
+            assert (worst > 0.0) == (dim // 2 > block)
+
+
+def test_algebra_suite_rejects_a_bad_dim_below_the_largest():
+    with pytest.raises(ValueError, match="dim=3"):
+        algebra_suite([2, 3, 64], [1])
 
 
 def test_quadrature_suite_flags_under_resolved_grid():
@@ -212,12 +268,27 @@ def test_cli_verify_rejects_odd_dim():
 
 
 @pytest.mark.parametrize("command", (("verify", "--dims", "2", "--ls", "1"), ("quadrature", "--dim", "2")))
-@pytest.mark.parametrize("tol", ("nan", "inf", "-1"))
+@pytest.mark.parametrize("tol", ("nan", "inf", "-1", "-1e-3", "-inf", "-1E+2"))  # argparse reads the last three as options
 def test_cli_rejects_non_finite_or_negative_tolerance(command, tol):
     proc = _run(*command, "--tol", tol)
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "--tol" in proc.stderr
+    assert f"--tol must be a finite number >= 0, got {float(tol)}" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    ((("verify", "--dims", "2,4", "--ls", "1,2"), 0), (("quadrature", "--dim", "2"), 1)),  # quadrature is not exact
+)
+def test_cli_prints_negative_zero_tolerance_unsigned(command, code):
+    proc = _run(*command, "--tol", "-0.0")
+    assert proc.returncode == code
+    tolerances = {record["tolerance"] for record in json.loads(proc.stdout)["records"]}
+    assert tolerances == {0.0} and '"tolerance": 0.0,' in proc.stdout
+    assert "-0.0" not in proc.stdout
+    proc = _run(*command, "--tol", "-0.0", "--format", "csv")
+    assert proc.returncode == code
+    assert {line.split(",")[6] for line in proc.stdout.splitlines()[1:]} == {"0.0"}
 
 
 @pytest.mark.parametrize(
