@@ -2,114 +2,72 @@
 Fock spaces, with exact identity certification, cat-state resolutions of
 identity, and Grassmann-eigenvalue eigenvectors of the lowering operator.
 
-Everything is a pure function over immutable inputs (frozen dataclasses and
-fresh numpy arrays), safe to share across threads.
+Everything is a pure function over immutable inputs (frozen dataclasses,
+Python numbers and freshly allocated numpy arrays), safe to share across
+threads. The public names load on first use (PEP 562), so the exact
+certificates (``FockSpace``, ``BosonizationParams``, the identity catalog, the
+functional equation and the report records) import without numpy; the dense
+constructors import it when called.
 """
 
-from ._version import __version__
-from .coherent import (
-    RESOLUTION_VARIANTS,
-    QuadratureGrid,
-    coherent_ket,
-    deformed_annihilator,
-    even_ket,
-    ladder_commutator_residual,
-    nonlinear_coherent_ket,
-    nonlinear_eigen_residual,
-    odd_ket,
-    phase_relation_residual,
-    quadrature_grid,
-    resolution_residual,
-)
-from .fock import (
-    FockSpace,
-    annihilator,
-    anticommutator,
-    commutator,
-    creator,
-    dagger,
-    fock_ket,
-    max_abs_norm,
-    number_operator,
-)
-from .grassmann import (
-    THETA,
-    GrassmannKet,
-    GrassmannScalar,
-    apply_operator,
-    eigen_check,
-    grassmann_scale,
-    max_abs_amplitude,
-    sigma_minus_eigenket,
-)
-from .pauli import (
-    BosonizationParams,
-    IdentityCheck,
-    PauliSet,
-    algebra_residuals,
-    closed_form_sigma_minus,
-    f_coefficient,
-    parity_projectors,
-    pauli_set,
-    sigma_minus,
-    sigma_three,
-    two_level_restriction,
-    verify_functional_equation,
-)
-from .report import (
-    CheckRecord,
-    VerificationReport,
-    algebra_suite,
-    grassmann_suite,
-    quadrature_suite,
-)
+import importlib
 
-__all__ = [
-    "__version__",
-    "FockSpace",
-    "annihilator",
-    "creator",
-    "number_operator",
-    "dagger",
-    "commutator",
-    "anticommutator",
-    "max_abs_norm",
-    "fock_ket",
-    "BosonizationParams",
-    "PauliSet",
-    "IdentityCheck",
-    "f_coefficient",
-    "verify_functional_equation",
-    "sigma_minus",
-    "closed_form_sigma_minus",
-    "sigma_three",
-    "parity_projectors",
-    "pauli_set",
-    "two_level_restriction",
-    "algebra_residuals",
-    "coherent_ket",
-    "even_ket",
-    "odd_ket",
-    "phase_relation_residual",
-    "QuadratureGrid",
-    "quadrature_grid",
-    "RESOLUTION_VARIANTS",
-    "resolution_residual",
-    "nonlinear_coherent_ket",
-    "deformed_annihilator",
-    "nonlinear_eigen_residual",
-    "ladder_commutator_residual",
-    "GrassmannScalar",
-    "GrassmannKet",
-    "THETA",
-    "apply_operator",
-    "grassmann_scale",
-    "max_abs_amplitude",
-    "sigma_minus_eigenket",
-    "eigen_check",
-    "CheckRecord",
-    "VerificationReport",
-    "algebra_suite",
-    "quadrature_suite",
-    "grassmann_suite",
-]
+from ._version import __version__
+
+# public name -> the module that defines it, in the order of __all__
+_EXPORTS = {
+    "FockSpace": "fock",
+    "annihilator": "fock",
+    "creator": "fock",
+    "number_operator": "fock",
+    "dagger": "fock",
+    "commutator": "fock",
+    "anticommutator": "fock",
+    "max_abs_norm": "fock",
+    "fock_ket": "fock",
+    "BosonizationParams": "pauli",
+    "PauliSet": "pauli",
+    "IdentityCheck": "pauli",
+    "f_coefficient": "pauli",
+    "verify_functional_equation": "pauli",
+    "sigma_minus": "pauli",
+    "closed_form_sigma_minus": "pauli",
+    "sigma_three": "pauli",
+    "parity_projectors": "pauli",
+    "pauli_set": "pauli",
+    "two_level_restriction": "pauli",
+    "algebra_residuals": "pauli",
+    "coherent_ket": "coherent",
+    "even_ket": "coherent",
+    "odd_ket": "coherent",
+    "phase_relation_residual": "coherent",
+    "QuadratureGrid": "coherent",
+    "quadrature_grid": "coherent",
+    "RESOLUTION_VARIANTS": "report",
+    "resolution_residual": "coherent",
+    "nonlinear_coherent_ket": "coherent",
+    "deformed_annihilator": "coherent",
+    "nonlinear_eigen_residual": "coherent",
+    "ladder_commutator_residual": "coherent",
+    "GrassmannScalar": "grassmann",
+    "GrassmannKet": "grassmann",
+    "THETA": "grassmann",
+    "apply_operator": "grassmann",
+    "grassmann_scale": "grassmann",
+    "max_abs_amplitude": "grassmann",
+    "sigma_minus_eigenket": "grassmann",
+    "eigen_check": "grassmann",
+    "CheckRecord": "report",
+    "VerificationReport": "report",
+    "algebra_suite": "report",
+    "quadrature_suite": "report",
+    "grassmann_suite": "report",
+}
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value

@@ -15,9 +15,9 @@ import math
 import os
 import sys
 
-from .coherent import RESOLUTION_VARIANTS
 from .report import (
     DUMPABLE_OPERATORS,
+    RESOLUTION_VARIANTS,
     VerificationReport,
     algebra_suite,
     grassmann_suite,

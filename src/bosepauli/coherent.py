@@ -18,8 +18,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from .fock import FockSpace, annihilator, creator, max_abs_norm
 from .pauli import parity_projectors
-
-RESOLUTION_VARIANTS = ("even-plain", "odd-plain", "even-phased", "odd-phased")
+from .report import RESOLUTION_VARIANTS
 
 
 def _ladder_amplitudes(z, first, divisors: np.ndarray) -> np.ndarray:

@@ -7,14 +7,19 @@ operator maps the top level to the zero vector, so every operator is an
 endomorphism of the same finite space. Matrices compose with the native numpy
 operators (``@``, ``+``, scalar ``*``, ``np.vdot``); only the operations that
 add physics semantics get names here. Those act on the last two axes, so they
-apply unchanged to stacks of blocks of shape ``(..., n, n)``.
+apply unchanged to stacks of blocks of shape ``(..., n, n)``, and
+:func:`commutator`/:func:`anticommutator` to any operands with ``@``. numpy
+is imported by the functions that build arrays, so :class:`FockSpace` loads
+without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,8 @@ class FockSpace:
 
 def annihilator(space: FockSpace) -> np.ndarray:
     """Lowering operator with ``a|n> = sqrt(n)|n-1>`` and ``a|0> = 0``."""
+    import numpy as np
+
     return np.diag(np.sqrt(np.arange(1, space.dim)), 1).astype(complex)
 
 
@@ -44,12 +51,14 @@ def creator(space: FockSpace) -> np.ndarray:
 
 def number_operator(space: FockSpace) -> np.ndarray:
     """Number operator ``diag(0, 1, ..., dim-1)``."""
+    import numpy as np
+
     return np.diag(np.arange(space.dim)).astype(complex)
 
 
 def dagger(op: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each block of a stack."""
-    return np.swapaxes(op.conj(), -1, -2)
+    return op.conj().swapaxes(-1, -2)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -64,6 +73,8 @@ def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def max_abs_norm(arr: np.ndarray) -> float:
     """Largest entrywise modulus, the residual statistic used throughout."""
+    import numpy as np
+
     arr = np.asarray(arr)
     if arr.size == 0:
         return 0.0
@@ -72,6 +83,8 @@ def max_abs_norm(arr: np.ndarray) -> float:
 
 def fock_ket(space: FockSpace, n: int) -> np.ndarray:
     """Basis ket ``|n>``."""
+    import numpy as np
+
     if not 0 <= n < space.dim:
         raise IndexError(f"level {n} outside 0..{space.dim - 1}")
     ket = np.zeros(space.dim, dtype=complex)

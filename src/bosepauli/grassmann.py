@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from numbers import Number
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .fock import FockSpace, fock_ket, max_abs_norm
 from .pauli import BosonizationParams, sigma_minus
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _coerce(value):
@@ -81,6 +83,8 @@ class GrassmannKet:
     soul: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         for part in (self.body, self.soul):
             if part.shape != (self.space.dim,):
                 raise ValueError(f"amplitude vector has shape {part.shape}, expected ({self.space.dim},)")
@@ -109,6 +113,8 @@ def grassmann_scale(scalar: GrassmannScalar, ket: GrassmannKet) -> GrassmannKet:
 
 def max_abs_amplitude(ket: GrassmannKet) -> float:
     """Largest modulus over both coefficient vectors."""
+    import numpy as np
+
     return float(max(np.max(np.abs(ket.body)), np.max(np.abs(ket.soul))))
 
 

@@ -8,28 +8,25 @@ alternating-sign one, and the operator depends on ``l`` only through its
 parity.
 
 Every pseudospin operator is thus a direct sum of 2x2 blocks on the level
-pairs ``(|2n>, |2n+1>)``. The identity catalog runs on ``(dim/2, 2, 2)``
-stacks of those blocks, with entries in ``{0, +-1, +-i}``: their products
-and sums round nowhere in double precision, so on an even-dimensional
-truncation the whole catalog is certified with residual exactly zero, not
-merely small. Only the public ``sigma_minus``, ``sigma_three`` and
-``pauli_set`` assemble dense matrices, from the same blocks.
+pairs ``(|2n>, |2n+1>)``, and for a given ``l`` the blocks of any truncation
+fall into at most two distinct classes. The identity catalog runs once per
+class, on 2x2 matrices of Python ``complex`` with entries in
+``{0, +-1, +-i}``: their products and sums round nowhere, so the catalog is
+exact on every distinct block, and every block of the truncation is one of
+them. That certificate, like the functional equation, needs no numpy; only the
+public dense constructors import it, when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import numpy as np
+from .fock import FockSpace, anticommutator, commutator
 
-from .fock import (
-    FockSpace,
-    anticommutator,
-    commutator,
-    dagger,
-)
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _cos_half_pi(n: int) -> int:
@@ -55,19 +52,21 @@ def f_coefficient(n: int, l: int) -> float:
 def verify_functional_equation(l: int, n_max: int) -> float:
     """Largest deviation of ``(n+1) f^2(n) + n f^2(n-1) - 1`` for ``n <= n_max``.
 
-    Includes the ``n = 0`` boundary term ``|f^2(0) - 1|``. All terms at once, as
-    exact int64 numerators over the common denominator ``n(n+1)``, both below
-    ``2**53`` (a larger ``n_max`` is rejected): one division rounds each exact
-    rational once, so the maximum is exactly ``0.0`` when the recurrence holds.
+    Includes the ``n = 0`` boundary term ``|f^2(0) - 1|``. Every term is an
+    exact Python-integer numerator over the common denominator ``n(n+1)``, both
+    kept below ``2**53`` (a larger ``n_max`` is rejected): true division rounds
+    each exact rational once, so the maximum is exactly ``0.0`` when the
+    recurrence holds.
     """
     table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n = (n+1) f^2(n) by n mod 4
     if n_max < 0 or n_max * (n_max + 1) * (2 * max(map(abs, table)) + 1) >= 2**53:
         raise ValueError(f"n_max={n_max} must be >= 0 and keep every numerator below 2**53")
-    c = np.array(table, dtype=np.int64)[np.arange(n_max + 1) % 4]
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    den = n * (n + 1)
-    num = (n + 1) * n * c[1:] + n * (n + 1) * c[:-1] - den
-    return float(max(abs(c[0] - 1), np.max(np.abs(num) / den, initial=0.0)))
+    worst = abs(table[0] - 1)
+    for n in range(1, n_max + 1):
+        den = n * (n + 1)
+        num = (n + 1) * n * table[n % 4] + n * (n + 1) * table[(n - 1) % 4] - den
+        worst = max(worst, abs(num) / den)
+    return float(worst)
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class BosonizationParams:
 @dataclass(frozen=True)
 class PauliSet:
     """The five pseudospin operators assembled from one ``sigma_-``, either as
-    dense matrices or as ``(dim/2, 2, 2)`` stacks of pair blocks."""
+    dense matrices or as one 2x2 pair block."""
 
     sigma_minus: np.ndarray
     sigma_plus: np.ndarray
@@ -103,13 +102,66 @@ class PauliSet:
     sigma_three: np.ndarray
 
 
-def _diagonal_blocks(upper: float, lower: float, pairs: int) -> np.ndarray:
-    """``diag(upper, lower)`` on every pair, as a ``(pairs, 2, 2)`` stack."""
-    return np.broadcast_to(np.diag([upper, lower]).astype(complex), (pairs, 2, 2))
+class _Block:
+    """2x2 matrix ``[[a, b], [c, d]]`` of Python numbers with the operations
+    the catalog uses; exact on Gaussian integers."""
+
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def __matmul__(self, other: _Block) -> _Block:
+        return _Block(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def __add__(self, other: _Block) -> _Block:
+        return _Block(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
+
+    def __sub__(self, other: _Block) -> _Block:
+        return _Block(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+
+    def __rmul__(self, scalar) -> _Block:
+        return _Block(scalar * self.a, scalar * self.b, scalar * self.c, scalar * self.d)
+
+    def dagger(self) -> _Block:
+        return _Block(self.a.conjugate(), self.c.conjugate(), self.b.conjugate(), self.d.conjugate())
+
+    def max_abs(self) -> float:
+        return float(max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)))
+
+
+def _diagonal(upper, lower) -> _Block:
+    return _Block(upper, 0, 0, lower)
+
+
+def _lowering_block(n: int, l: int) -> tuple:
+    """Entries ``(b00, b01, b10, b11)`` of pair block ``n`` of ``sigma_-``."""
+    # The f(N) a entry at (2n, 2n+1) is f(2n) sqrt(2n+1) = cos^l(pi n), with the
+    # radial factors cancelled analytically: rounded square roots do not cancel
+    # in IEEE doubles ((1/sqrt(15))*sqrt(15) != 1), and exactness needs them to.
+    return (0, _cos_half_pi(2 * n) ** l, 0, 0)
+
+
+def _pauli_blocks(lowering: _Block) -> PauliSet:
+    plus = lowering.dagger()
+    return PauliSet(
+        sigma_minus=lowering,
+        sigma_plus=plus,
+        sigma_one=plus + lowering,
+        sigma_two=-1j * (plus - lowering),
+        sigma_three=_diagonal(-1.0, 1.0),
+    )
 
 
 def _densify(blocks: np.ndarray) -> np.ndarray:
     """Direct sum of a ``(pairs, 2, 2)`` stack: block ``n`` on levels ``(2n, 2n+1)``."""
+    import numpy as np
+
     pairs = blocks.shape[0]
     out = np.zeros((pairs, 2, pairs, 2), dtype=complex)
     diagonal = np.arange(pairs)
@@ -117,31 +169,16 @@ def _densify(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(2 * pairs, 2 * pairs)
 
 
-def _lowering_blocks(params: BosonizationParams) -> np.ndarray:
-    # Block n holds the f(N) a entry at (2n, 2n+1), f(2n) sqrt(2n+1) = cos^l(pi n),
-    # with the radial factors cancelled analytically: rounded square roots do not
-    # cancel in IEEE doubles ((1/sqrt(15))*sqrt(15) != 1), and exactness needs them to.
-    pairs = params.space.dim // 2
-    blocks = np.zeros((pairs, 2, 2), dtype=complex)
-    blocks[:, 0, 1] = [_cos_half_pi(2 * n) ** params.l for n in range(pairs)]
-    return blocks
+def _direct_sum(blocks: list[_Block]) -> np.ndarray:
+    """Direct sum of pair blocks, as a dense complex matrix."""
+    import numpy as np
 
-
-def _pauli_blocks(params: BosonizationParams) -> PauliSet:
-    minus = _lowering_blocks(params)
-    plus = dagger(minus)
-    return PauliSet(
-        sigma_minus=minus,
-        sigma_plus=plus,
-        sigma_one=plus + minus,
-        sigma_two=-1j * (plus - minus),
-        sigma_three=_diagonal_blocks(-1.0, 1.0, params.space.dim // 2),
-    )
+    return _densify(np.array([(b.a, b.b, b.c, b.d) for b in blocks], dtype=complex).reshape(-1, 2, 2))
 
 
 def sigma_minus(params: BosonizationParams) -> np.ndarray:
     """Lowering operator ``sigma_- = f(N) a = cos^l(pi N/2) (N+1)^(-1/2) a``."""
-    return _densify(_lowering_blocks(params))
+    return _direct_sum([_Block(*_lowering_block(n, params.l)) for n in range(params.space.dim // 2)])
 
 
 def closed_form_sigma_minus(params: BosonizationParams) -> np.ndarray:
@@ -152,6 +189,8 @@ def closed_form_sigma_minus(params: BosonizationParams) -> np.ndarray:
     assignment alone, independent of the ``f(N) a`` route and of the pair
     blocks, so the two constructions can be compared entrywise.
     """
+    import numpy as np
+
     dim = params.space.dim
     out = np.zeros((dim, dim), dtype=complex)
     n = np.arange(dim // 2)
@@ -168,11 +207,13 @@ def sigma_three(space: FockSpace) -> np.ndarray:
     """
     if space.dim % 2 != 0:
         raise ValueError(f"dim={space.dim} is odd; sigma_three needs an even truncation")
-    return _densify(_diagonal_blocks(-1.0, 1.0, space.dim // 2))
+    return _direct_sum([_diagonal(-1.0, 1.0)] * (space.dim // 2))
 
 
 def parity_projectors(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal projectors ``(P_even, P_odd)`` onto even/odd levels; any ``dim``."""
+    import numpy as np
+
     parity = np.arange(space.dim) % 2
     return np.diag((parity == 0).astype(complex)), np.diag((parity == 1).astype(complex))
 
@@ -180,8 +221,8 @@ def parity_projectors(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
 def pauli_set(params: BosonizationParams) -> PauliSet:
     """Assemble ``sigma_-``, ``sigma_+ = sigma_-^dag``, ``sigma_1 = sigma_+ + sigma_-``,
     ``sigma_2 = -i(sigma_+ - sigma_-)`` and the diagonal ``sigma_3``."""
-    blocks = _pauli_blocks(params)
-    return PauliSet(**{field.name: _densify(getattr(blocks, field.name)) for field in fields(PauliSet)})
+    sets = [_pauli_blocks(_Block(*_lowering_block(n, params.l))) for n in range(params.space.dim // 2)]
+    return PauliSet(**{field.name: _direct_sum([getattr(s, field.name) for s in sets]) for field in fields(PauliSet)})
 
 
 def two_level_restriction(op: np.ndarray) -> np.ndarray:
@@ -194,32 +235,20 @@ def two_level_restriction(op: np.ndarray) -> np.ndarray:
 class IdentityCheck(NamedTuple):
     identity: str
     equation: str
-    residual: float
-    blocks: np.ndarray  # the residual on each pair block; ``residual`` is their maximum
+    residual: float  # the maximum of ``class_residuals``
+    class_residuals: tuple[float, ...]  # the residual on each distinct pair block
+    first_blocks: tuple[int, ...]  # the index of the first pair block of each class
 
 
-def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
-    """Residuals for the full pseudospin identity catalog.
-
-    Each entry is the max entrywise modulus of (left side - right side) of
-    one identity: the pairwise anticommutators ``{s_i, s_j} = 2 delta_ij``,
-    the ladder commutators and anticommutators against ``sigma_1..3``, the
-    ladder products against the parity projectors, the diagonal closed form
-    of ``sigma_3``, the alternating-representation rechecks of
-    ``{sigma_-, sigma_3} = 0`` and ``[sigma_-, sigma_3] = 2 sigma_-``, and
-    the nilpotency of ``sigma_+-``. All residuals are exactly zero on even
-    truncations. Every operand is a ``(dim/2, 2, 2)`` stack of pair blocks;
-    block ``n`` depends only on ``n`` and ``l``, so each check also carries its
-    residual on every block, and a smaller even ``dim`` owns a prefix of them.
-    """
-    ops = _pauli_blocks(params)
-    pairs = params.space.dim // 2
-    eye = _diagonal_blocks(1.0, 1.0, pairs)
-    zero = _diagonal_blocks(0.0, 0.0, pairs)
-    p_even, p_odd = _diagonal_blocks(1.0, 0.0, pairs), _diagonal_blocks(0.0, 1.0, pairs)
+def _catalog(lowering: _Block) -> list[tuple[str, str, float]]:
+    """``(identity, paper equation, residual)`` of every catalog entry on the
+    pair block whose ``sigma_-`` is ``lowering``."""
+    ops = _pauli_blocks(lowering)
+    eye, zero = _diagonal(1.0, 1.0), _diagonal(0.0, 0.0)
+    p_even, p_odd = _diagonal(1.0, 0.0), _diagonal(0.0, 1.0)
     triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}
 
-    checks: list[tuple[str, str, np.ndarray | str]] = []
+    checks: list[tuple[str, str, _Block | str]] = []
     for name_i, op_i in triple.items():
         for name_j, op_j in triple.items():
             target = 2.0 * eye if name_i == name_j else zero
@@ -244,6 +273,33 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     checks.append(("sigma_minus_squared", "(1)", ops.sigma_minus @ ops.sigma_minus))
     checks.append(("sigma_plus_squared", "(1)", ops.sigma_plus @ ops.sigma_plus))
 
-    blocks = {name: np.abs(diff).max(axis=(1, 2)) for name, _, diff in checks if not isinstance(diff, str)}
-    rows = [blocks[diff if isinstance(diff, str) else name] for name, _, diff in checks]
-    return [IdentityCheck(name, eq, float(row.max()), row) for (name, eq, _), row in zip(checks, rows)]
+    residuals = {name: diff.max_abs() for name, _, diff in checks if not isinstance(diff, str)}
+    return [(name, eq, residuals[diff if isinstance(diff, str) else name]) for name, eq, diff in checks]
+
+
+def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
+    """Residuals for the full pseudospin identity catalog.
+
+    Each entry is the max entrywise modulus of (left side - right side) of
+    one identity: the pairwise anticommutators ``{s_i, s_j} = 2 delta_ij``,
+    the ladder commutators and anticommutators against ``sigma_1..3``, the
+    ladder products against the parity projectors, the diagonal closed form
+    of ``sigma_3``, the alternating-representation rechecks of
+    ``{sigma_-, sigma_3} = 0`` and ``[sigma_-, sigma_3] = 2 sigma_-``, and
+    the nilpotency of ``sigma_+-``. All residuals are exactly zero on even
+    truncations. Every operator is a direct sum of pair blocks, so the catalog
+    runs once on each distinct block of the truncation (found by building every
+    block) and each check carries the residual of each class with the index of
+    its first block: a smaller even ``dim`` holds the classes that start below
+    ``dim/2``.
+    """
+    first_blocks: dict[tuple, int] = {}
+    for n in range(params.space.dim // 2):
+        first_blocks.setdefault(_lowering_block(n, params.l), n)
+    runs = [_catalog(_Block(*block)) for block in first_blocks]
+    firsts = tuple(first_blocks.values())
+    checks = []
+    for i, (name, equation, _) in enumerate(runs[0]):
+        residuals = tuple(run[i][2] for run in runs)
+        checks.append(IdentityCheck(name, equation, max(residuals), residuals, firsts))
+    return checks

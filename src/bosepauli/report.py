@@ -1,17 +1,23 @@
 """Check records, machine-readable verification reports, and the parameter
-sweeps behind the command-line subcommands."""
+sweeps behind the command-line subcommands.
+
+Records, reports and the ``verify`` sweep load without numpy. Reports are
+written by a small formatter for their fixed shape (dicts, lists and
+scalars), token for token as ``json.dumps(payload, indent=2)`` writes them,
+without the pure-Python ``json`` encoder. The quadrature names need numpy and
+load on first use, through the module ``__getattr__``.
+"""
 
 from __future__ import annotations
 
-import csv
 import io
-import json
+import math
+import sys
 from dataclasses import dataclass, field
-
-import numpy as np
+from json.encoder import encode_basestring_ascii
+from typing import TYPE_CHECKING
 
 from ._version import __version__
-from .coherent import quadrature_grid, resolution_residual
 from .fock import FockSpace, dagger
 from .grassmann import GrassmannScalar, eigen_check
 from .pauli import (
@@ -23,10 +29,63 @@ from .pauli import (
     verify_functional_equation,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 FUNCTIONAL_EQUATION_N_MAX = 1000
 DEFAULT_GRASSMANN_SOUL = 1.0 + 1.0j
 
+RESOLUTION_VARIANTS = ("even-plain", "odd-plain", "even-phased", "odd-phased")
 CSV_COLUMNS = ("identity_id", "paper_eq", "dim", "l", "variant", "residual", "tolerance", "pass")
+
+
+def __getattr__(name: str):
+    # PEP 562: quadrature_suite looks these up on the module, so they load on first use.
+    if name not in ("quadrature_grid", "resolution_residual"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import coherent
+
+    value = globals()[name] = getattr(coherent, name)
+    return value
+
+
+def _token(value) -> str:
+    """One JSON scalar, spelled as ``json.dumps`` spells it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _json(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with string keys, lists and
+    scalars, when ``value`` starts at depth ``indent``."""
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        return "{\n" + ",\n".join(f"{inner}{_token(k)}: {_json(v, inner)}" for k, v in value.items()) + f"\n{indent}}}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{indent}]"
+    return _token(value)
 
 
 @dataclass(frozen=True)
@@ -48,6 +107,11 @@ class CheckRecord:
         # tolerance 0 means the construction owes an exactly-zero residual
         return self.tolerance == 0.0
 
+    def sort_key(self) -> tuple[str, str]:
+        """``(identity_id, json.dumps(params, sort_keys=True))``, the order of a report's records."""
+        params = ", ".join(f"{_token(key)}: {_token(value)}" for key, value in sorted(self.params.items()))
+        return self.identity_id, "{" + params + "}"
+
     def to_json_dict(self) -> dict:
         return {
             "identity_id": self.identity_id,
@@ -66,7 +130,7 @@ class VerificationReport:
     tool_version: str = __version__
 
     def sorted_records(self) -> list[CheckRecord]:
-        return sorted(self.records, key=lambda r: (r.identity_id, json.dumps(r.params, sort_keys=True)))
+        return sorted(self.records, key=CheckRecord.sort_key)
 
     @property
     def summary(self) -> dict:
@@ -82,9 +146,11 @@ class VerificationReport:
             "records": [r.to_json_dict() for r in self.sorted_records()],
             "summary": self.summary,
         }
-        return json.dumps(payload, indent=2)
+        return _json(payload)
 
     def to_csv(self) -> str:
+        import csv
+
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -107,7 +173,8 @@ class VerificationReport:
 def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> VerificationReport:
     """Functional-equation and identity-catalog records over dims x ls. One
     catalog per exponent, at the largest dim: block ``n`` does not depend on
-    ``dim``, so a dim's residual is the worst of blocks ``0 .. dim/2 - 1``."""
+    ``dim``, so a dim's residual is the worst of the block classes that start
+    below ``dim/2``."""
     records = []
     for l in ls:
         residual = verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX)
@@ -118,7 +185,8 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
     catalogs = {l: algebra_residuals(BosonizationParams(l, FockSpace(max(dims)))) for l in {p.l for p in grid}}
     for params in grid:
         for check in catalogs[params.l]:
-            residual = float(check.blocks[: params.space.dim // 2].max())
+            pairs = params.space.dim // 2
+            residual = max(r for r, first in zip(check.class_residuals, check.first_blocks) if first < pairs)
             records.append(
                 CheckRecord(check.identity, check.equation, {"dim": params.space.dim, "l": params.l}, residual, tolerance)
             )
@@ -127,12 +195,13 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
 
 def quadrature_suite(dim: int, radial: int, angular: int, variants: list[str], tolerance: float = 1e-12) -> VerificationReport:
     """Resolution-of-identity records for the requested variants."""
+    report = sys.modules[__name__]  # the numpy-backed names resolve through __getattr__
     space = FockSpace(dim)
-    grid = quadrature_grid(radial, angular)
+    grid = report.quadrature_grid(radial, angular)
     under_resolved = not grid.resolves(dim)
     records = []
     for variant in variants:
-        residual = resolution_residual(space, variant, grid)
+        residual = report.resolution_residual(space, variant, grid)
         equation = "(23)" if variant.endswith("plain") else "(28)"
         params = {
             "dim": dim,
@@ -182,8 +251,8 @@ def matrix_to_json(op: np.ndarray) -> str:
     as 0.0, so a dump does not depend on how the operator was built. Zeros share
     one ``[0.0, 0.0]`` token, so only the nonzero entries are formatted one by one."""
     rows = [["[0.0, 0.0]"] * op.shape[1] for _ in range(op.shape[0])]
-    for i, j in zip(*np.nonzero(op)):
-        rows[i][j] = json.dumps([op[i, j].real + 0.0, op[i, j].imag + 0.0])
+    for i, j in zip(*op.nonzero()):
+        rows[i][j] = f"[{_token(op[i, j].real + 0.0)}, {_token(op[i, j].imag + 0.0)}]"
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
@@ -194,5 +263,5 @@ def _number(value: float) -> str:
 def matrix_to_csv(op: np.ndarray) -> str:
     """Sparse triplet lines ``row,col,re,im``; zero entries are omitted and
     zero parts print unsigned."""
-    lines = [f"{i},{j},{_number(op[i, j].real)},{_number(op[i, j].imag)}" for i, j in zip(*np.nonzero(op))]
+    lines = [f"{i},{j},{_number(op[i, j].real)},{_number(op[i, j].imag)}" for i, j in zip(*op.nonzero())]
     return "\n".join(lines) + ("\n" if lines else "")

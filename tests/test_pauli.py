@@ -308,20 +308,113 @@ def test_catalog_exact_at_dim_4096(l):
         assert check.residual == 0.0, check
 
 
-def test_catalog_operands_are_pair_block_stacks(monkeypatch):
-    shapes = set()
+@pytest.mark.parametrize("l", range(1, 13))
+def test_catalog_runs_once_per_distinct_block_class(monkeypatch, l):
+    runs = []
+    catalog = pauli._catalog
 
-    def recording(product):
-        def wrapped(a, b):
-            shapes.update((a.shape, b.shape))
-            return product(a, b)
+    def counting(lowering):
+        runs.append(lowering)
+        return catalog(lowering)
 
-        return wrapped
+    monkeypatch.setattr(pauli, "_catalog", counting)
+    for dim, classes in ((2, 1), (4, 1 if l % 2 == 0 else 2), (4096, 1 if l % 2 == 0 else 2)):
+        runs.clear()
+        checks = algebra_residuals(_params(l, dim))
+        assert len(runs) == classes
+        assert all(len(check.class_residuals) == len(check.first_blocks) == classes for check in checks)
+        assert checks[0].first_blocks == tuple(range(classes))
 
-    monkeypatch.setattr(pauli, "commutator", recording(commutator))
-    monkeypatch.setattr(pauli, "anticommutator", recording(anticommutator))
-    algebra_residuals(_params(3, 16))
-    assert shapes == {(8, 2, 2)}
+
+def test_catalog_certifies_a_million_level_truncation():
+    for l in (1, 2):
+        checks = algebra_residuals(_params(l, 10**6))
+        assert len(checks) == 30
+        assert all(check.residual == 0.0 for check in checks)
+
+
+# ------------------------------------------------ numpy stack catalog oracle
+
+
+def _diagonal_stack(upper, lower, pairs):
+    return np.broadcast_to(np.diag([upper, lower]).astype(complex), (pairs, 2, 2))
+
+
+def _stack_catalog(params, modulus=np.abs):
+    # reference: the whole identity catalog on (dim/2, 2, 2) numpy stacks of
+    # every pair block, with the residual of each identity on each block
+    pairs = params.space.dim // 2
+    minus = np.array([pauli._lowering_block(n, params.l) for n in range(pairs)], dtype=complex).reshape(pairs, 2, 2)
+    plus = dagger(minus)
+    ops = pauli.PauliSet(minus, plus, plus + minus, -1j * (plus - minus), _diagonal_stack(-1.0, 1.0, pairs))
+    eye, zero = _diagonal_stack(1.0, 1.0, pairs), _diagonal_stack(0.0, 0.0, pairs)
+    p_even, p_odd = _diagonal_stack(1.0, 0.0, pairs), _diagonal_stack(0.0, 1.0, pairs)
+    triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}
+
+    checks = []
+    for name_i, op_i in triple.items():
+        for name_j, op_j in triple.items():
+            target = 2.0 * eye if name_i == name_j else zero
+            checks.append((f"anticomm_{name_i}_{name_j}", "(7)", anticommutator(op_i, op_j) - target))
+    for name, op, sign in (("sigma_plus", ops.sigma_plus, 1.0), ("sigma_minus", ops.sigma_minus, -1.0)):
+        checks.append((f"comm_{name}_sigma_one", "(9)", commutator(op, ops.sigma_one) - sign * ops.sigma_three))
+        checks.append((f"comm_{name}_sigma_two", "(9)", commutator(op, ops.sigma_two) - 1j * ops.sigma_three))
+        checks.append((f"comm_{name}_sigma_three", "(9)", commutator(op, ops.sigma_three) + 2.0 * sign * op))
+        checks.append((f"anticomm_{name}_sigma_one", "(10)", anticommutator(op, ops.sigma_one) - eye))
+        checks.append((f"anticomm_{name}_sigma_two", "(10)", anticommutator(op, ops.sigma_two) - sign * 1j * eye))
+        checks.append((f"anticomm_{name}_sigma_three", "(10)", anticommutator(op, ops.sigma_three)))
+    checks.append(("comm_sigma_plus_sigma_minus", "(9)", commutator(ops.sigma_plus, ops.sigma_minus) - ops.sigma_three))
+    checks.append(("anticomm_sigma_plus_sigma_minus", "(10)", anticommutator(ops.sigma_plus, ops.sigma_minus) - eye))
+    checks.append(("sigma_plus_sigma_minus_equals_odd_projector", "(29)", ops.sigma_plus @ ops.sigma_minus - p_odd))
+    checks.append(("sigma_minus_sigma_plus_equals_even_projector", "(29)", ops.sigma_minus @ ops.sigma_plus - p_even))
+    checks.append(("sigma_three_equals_ladder_commutator", "(30)", "comm_sigma_plus_sigma_minus"))
+    checks.append(("anticomm_sigma_minus_sigma_three_recheck", "(31)", "anticomm_sigma_minus_sigma_three"))
+    checks.append(("comm_sigma_minus_sigma_three_recheck", "(32)", "comm_sigma_minus_sigma_three"))
+    checks.append(("sigma_minus_squared", "(1)", ops.sigma_minus @ ops.sigma_minus))
+    checks.append(("sigma_plus_squared", "(1)", ops.sigma_plus @ ops.sigma_plus))
+
+    blocks = {name: modulus(diff).max(axis=(1, 2)) for name, _, diff in checks if not isinstance(diff, str)}
+    return [(name, eq, blocks[diff if isinstance(diff, str) else name]) for name, eq, diff in checks]
+
+
+def _assert_matches_stack_catalog(params, modulus=np.abs):
+    reference = _stack_catalog(params, modulus)
+    checks = algebra_residuals(params)
+    assert [(c.identity, c.equation) for c in checks] == [(name, eq) for name, eq, _ in reference]
+    for check, (_, _, per_block) in zip(checks, reference):
+        assert check.residual == float(per_block.max()), check.identity
+        assert math.copysign(1.0, check.residual) == 1.0
+        # each class residual is its first block's, and every block equals one class
+        assert check.class_residuals == tuple(float(per_block[n]) for n in check.first_blocks), check.identity
+        assert set(per_block.tolist()) <= set(check.class_residuals), check.identity
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_class_catalog_is_bit_equal_to_the_stack_catalog(l):
+    for dim in (*range(2, 65, 2), 128, 256, 512):
+        _assert_matches_stack_catalog(_params(l, dim))
+
+
+_GAUSSIAN_UNIT_BLOCK = st.tuples(*[st.sampled_from((0, 1, -1, 1j, -1j, 0.5, 0.25j))] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 40), st.dictionaries(st.integers(0, 39), _GAUSSIAN_UNIT_BLOCK, max_size=4))
+def test_class_catalog_matches_the_stack_catalog_on_defective_blocks(l, pairs, defects):
+    lowering_block = pauli._lowering_block
+
+    def defective(n, exponent):
+        return defects.get(n) or lowering_block(n, exponent)
+
+    # Off the Gaussian integers np.abs and complex.__abs__ may round a modulus
+    # differently; the reference takes it as the catalog does, so only the
+    # block arithmetic is compared.
+    python_abs = np.vectorize(abs, otypes=[float])
+    original, pauli._lowering_block = pauli._lowering_block, defective
+    try:
+        _assert_matches_stack_catalog(_params(l, 2 * pairs), python_abs)
+    finally:
+        pauli._lowering_block = original
 
 
 # ------------------------------------------------------------- pair blocks
@@ -353,3 +446,11 @@ def test_densify_places_blocks_on_level_pairs():
     for n in range(3):
         assert np.array_equal(dense[2 * n : 2 * n + 2, 2 * n : 2 * n + 2], blocks[n])
     assert np.count_nonzero(dense) == 12
+
+
+def test_dense_constructors_return_numpy_arrays():
+    params = _params(3, 8)
+    arrays = [sigma_minus(params), closed_form_sigma_minus(params), sigma_three(params.space)]
+    arrays += [*parity_projectors(params.space), *vars(pauli_set(params)).values()]
+    arrays.append(two_level_restriction(arrays[0]))
+    assert all(isinstance(a, np.ndarray) and a.dtype == complex for a in arrays)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -6,12 +8,13 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bosepauli import BosonizationParams, FockSpace, algebra_residuals, pauli_set, verify_functional_equation
 from bosepauli import pauli
 from bosepauli.report import (
+    CSV_COLUMNS,
     DUMPABLE_OPERATORS,
     FUNCTIONAL_EQUATION_N_MAX,
     CheckRecord,
@@ -54,6 +57,81 @@ def test_summary_counts_match_records():
     )
     assert report.summary == {"pass": 1, "fail": 1}
     assert not report.all_passed()
+
+
+def _reference_sorted(report):
+    # reference order: identity, then the text of json.dumps(params, sort_keys=True)
+    return sorted(report.records, key=lambda r: (r.identity_id, json.dumps(r.params, sort_keys=True)))
+
+
+def _reference_json(report):
+    # reference: the whole payload through json.dumps with indent=2
+    payload = {
+        "tool_version": report.tool_version,
+        "records": [r.to_json_dict() for r in _reference_sorted(report)],
+        "summary": report.summary,
+    }
+    return json.dumps(payload, indent=2)
+
+
+def _reference_csv(report):
+    # reference: one csv.writer row per record in the reference order
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in _reference_sorted(report):
+        params = r.params
+        row = [r.identity_id, r.equation, params.get("dim", ""), params.get("l", ""), params.get("variant", "")]
+        writer.writerow(row + [repr(r.residual), repr(r.tolerance), "true" if r.passed else "false"])
+    return out.getvalue()
+
+
+_FLOAT = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1e300, -1.7976931348623157e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_TEXT = st.one_of(st.sampled_from(["anticomm_sigma_one_sigma_two", "(7)", "(37)-(38)", "even-plain"]), st.text())
+_SMALL_INT = st.integers(-(10**20), 10**20)
+_PARAMS = st.one_of(
+    st.fixed_dictionaries({"dim": _SMALL_INT, "l": _SMALL_INT}),  # verify catalog
+    st.fixed_dictionaries({"l": _SMALL_INT, "n_max": _SMALL_INT}),  # verify functional equation
+    st.fixed_dictionaries(  # quadrature
+        {"dim": _SMALL_INT, "K": _SMALL_INT, "M": _SMALL_INT, "variant": _TEXT, "under_resolved": st.booleans()}
+    ),
+    st.fixed_dictionaries({"dim": _SMALL_INT, "l": _SMALL_INT, "soul_re": _FLOAT, "soul_im": _FLOAT}),  # grassmann
+    st.dictionaries(_TEXT, st.one_of(_SMALL_INT, _FLOAT, st.booleans(), _TEXT), max_size=3),
+)
+_RECORDS = st.lists(st.builds(CheckRecord, _TEXT, _TEXT, _PARAMS, _FLOAT, _FLOAT), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS, _TEXT)
+def test_report_writers_match_json_dumps_and_csv_writer(records, version):
+    report = VerificationReport(records, tool_version=version)
+    assert report.to_json() == _reference_json(report)
+    assert report.to_csv() == _reference_csv(report)
+
+
+@pytest.mark.parametrize("dims, ls", (([2, 4, 8, 16, 32, 64, 128, 256], [1, 2, 3, 4, 5, 6]), ([512], [11, 4])))
+def test_report_writers_match_json_dumps_and_csv_writer_on_verify_sweeps(dims, ls):
+    report = algebra_suite(dims, ls)
+    assert report.to_json() == _reference_json(report)
+    assert report.to_csv() == _reference_csv(report)
+
+
+def test_records_sort_by_the_text_of_their_params():
+    # decimal text order: dim 128 before 16 before 2, and "l": 12 before "l": 1,
+    # since "2" sorts before the "}" that closes {"l": 1}
+    report = algebra_suite([2, 16, 128], [1, 12])
+    order = [(r.params["dim"], r.params["l"]) for r in report.sorted_records() if r.identity_id == "sigma_minus_squared"]
+    assert order == [(128, 12), (128, 1), (16, 12), (16, 1), (2, 12), (2, 1)]
+    assert report.sorted_records() == _reference_sorted(report)
+
+
+def test_quadrature_and_grassmann_reports_match_json_dumps():
+    for report in (quadrature_suite(8, 4, 16, ["odd-phased", "even-plain"]), grassmann_suite([2, 8], [1, 2])):
+        assert report.to_json() == _reference_json(report)
+        assert report.to_csv() == _reference_csv(report)
 
 
 def test_json_round_trip():
@@ -119,15 +197,15 @@ def test_algebra_suite_matches_per_dim_catalog_runs():
 
 @pytest.mark.parametrize("block", (0, 1, 7, 31, 127))
 def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(monkeypatch, block):
-    lowering_blocks = pauli._lowering_blocks
+    lowering_block = pauli._lowering_block
 
-    def defective(params):
-        blocks = lowering_blocks(params)
-        if params.space.dim // 2 > block:
-            blocks[block] += np.array([[0.25, 0.0], [0.5j, 0.0]])
-        return blocks
+    def defective(n, l):
+        entries = lowering_block(n, l)
+        if n == block:
+            entries = tuple(e + d for e, d in zip(entries, (0.25, 0.0, 0.5j, 0.0)))
+        return entries
 
-    monkeypatch.setattr(pauli, "_lowering_blocks", defective)
+    monkeypatch.setattr(pauli, "_lowering_block", defective)
     ls = [1, 2]
     fast = algebra_suite(SWEEP_DIMS, ls)
     assert fast.to_json() == _per_dim_algebra_suite(SWEEP_DIMS, ls).to_json()
@@ -377,3 +455,47 @@ def test_cli_quadrature_rejects_non_finite_grid():
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "radial_count=187" in proc.stderr
+
+
+def test_cli_verify_certifies_a_million_level_truncation():
+    proc = _run("verify", "--dims", "1000000", "--ls", "1,2")
+    assert proc.returncode == 0
+    records = json.loads(proc.stdout)["records"]
+    assert len(records) == 2 + 2 * 30
+    assert all(record["residual"] == 0.0 and record["pass"] for record in records)
+    assert '"residual": 0.0,' in proc.stdout
+
+
+# ------------------------------------------------------------ import guard
+
+
+def _run_from_source_tree(*args):
+    src = os.path.dirname(os.path.dirname(pauli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("args", (("verify", "--dims", "2,4", "--ls", "1,2"), ("--help",)))
+def test_verify_and_help_import_no_numpy(args):
+    proc = _run_from_source_tree("-X", "importtime", "-m", "bosepauli", *args)
+    assert proc.returncode == 0
+    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    assert "bosepauli.cli" in modules
+    assert [name for name in modules if name == "numpy" or name.startswith("numpy.")] == []
+
+
+def test_every_public_name_resolves_and_the_numpy_subcommands_still_run():
+    code = (
+        "import sys, bosepauli; names = [n for n in bosepauli.__all__ if n != '__version__'];"
+        " print(len(names), len(set(names)), all(getattr(bosepauli, n) is not None for n in names), 'numpy' in sys.modules)"
+    )
+    proc = _run_from_source_tree("-c", code)
+    assert proc.stdout.split() == ["46", "46", "True", "True"]
+    for args in (
+        ("dump", "--op", "sigma_three", "--dim", "4"),
+        ("quadrature", "--dim", "8", "--radial", "8", "--angular", "32"),
+        ("grassmann", "--dims", "2,4", "--ls", "1,2"),
+    ):
+        proc = _run_from_source_tree("-m", "bosepauli", *args)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)
