@@ -4,10 +4,10 @@ identity, and Grassmann-eigenvalue eigenvectors of the lowering operator.
 
 Everything is a pure function over immutable inputs (frozen dataclasses,
 Python numbers and freshly allocated numpy arrays), safe to share across
-threads. The public names load on first use (PEP 562), so the exact
-certificates (``FockSpace``, ``BosonizationParams``, the identity catalog, the
-functional equation and the report records) import without numpy; the dense
-constructors import it when called.
+threads. The public names load on first use (PEP 562), so the certificates
+(``FockSpace``, ``BosonizationParams``, the identity catalog, the functional
+equation, the quadrature grid and residual, and the report records) import
+and run without numpy; the dense constructors import it when called.
 """
 
 import importlib
@@ -41,10 +41,10 @@ _EXPORTS = {
     "even_ket": "coherent",
     "odd_ket": "coherent",
     "phase_relation_residual": "coherent",
-    "QuadratureGrid": "coherent",
-    "quadrature_grid": "coherent",
-    "RESOLUTION_VARIANTS": "report",
-    "resolution_residual": "coherent",
+    "QuadratureGrid": "quadrature",
+    "quadrature_grid": "quadrature",
+    "RESOLUTION_VARIANTS": "quadrature",
+    "resolution_residual": "quadrature",
     "nonlinear_coherent_ket": "coherent",
     "deformed_annihilator": "coherent",
     "nonlinear_eigen_residual": "coherent",

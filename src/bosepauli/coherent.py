@@ -1,24 +1,25 @@
-"""Coherent states, even/odd cat states, resolutions of identity by
-quadrature over the complex plane, and nonlinear (f-deformed) coherent
-states on the truncated space.
+"""Coherent states, even/odd cat states and nonlinear (f-deformed) coherent
+states on the truncated space, as numpy arrays.
 
 The even and odd kets keep the plain coherent prefactor ``exp(-|z|^2/2)``
 and are therefore not unit vectors (``<z|z>_e = exp(-|z|^2) cosh|z|^2``).
 That normalization is what makes the ``d^2z / pi`` resolutions reproduce the
 parity projectors exactly; renormalizing the cat states would break them.
+The resolutions themselves are certified by :mod:`bosepauli.quadrature`,
+which needs none of these arrays.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+import sys
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .fock import FockSpace, annihilator, creator, max_abs_norm
-from .pauli import parity_projectors
-from .report import RESOLUTION_VARIANTS
+
+_LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 
 
 def _ladder_amplitudes(z, first, divisors: np.ndarray) -> np.ndarray:
@@ -35,9 +36,22 @@ def _ladder_amplitudes(z, first, divisors: np.ndarray) -> np.ndarray:
 
 
 def coherent_ket(space: FockSpace, z: complex) -> np.ndarray:
-    """Truncated coherent state, component ``n = exp(-|z|^2/2) z^n / sqrt(n!)``."""
+    """Truncated coherent state, component ``n = exp(-|z|^2/2) z^n / sqrt(n!)``.
+
+    The recursion starts at level 0 unless ``exp(-|z|^2/2)`` underflows
+    (``|z|`` above about 37.6). Then it starts at the first level whose
+    log-amplitude ``-|z|^2/2 + n log|z| - lgamma(n+1)/2`` is that of a normal
+    double, and the levels below it, all smaller than about 1e-308, are 0.
+    """
     z = complex(z)
-    return _ladder_amplitudes(z, math.exp(-(abs(z) ** 2) / 2.0), np.sqrt(np.arange(1, space.dim)))
+    start, log_first = 0, -(abs(z) ** 2) / 2.0
+    while log_first < _LOG_SMALLEST_NORMAL and start < space.dim - 1:
+        start += 1
+        log_first = -(abs(z) ** 2) / 2.0 + start * math.log(abs(z)) - 0.5 * math.lgamma(start + 1)
+    first = cmath.exp(complex(log_first, start * cmath.phase(z))) if start else math.exp(log_first)
+    amps = np.zeros(space.dim, dtype=complex)
+    amps[start:] = _ladder_amplitudes(z, first, np.sqrt(np.arange(start + 1, space.dim)))
+    return amps
 
 
 def even_ket(space: FockSpace, z: complex) -> np.ndarray:
@@ -59,11 +73,6 @@ def odd_ket(space: FockSpace, z: complex) -> np.ndarray:
     return amps
 
 
-def _quarter_turns(dim: int) -> np.ndarray:
-    """``i^m`` on level ``m``: the phase the ``z -> iz`` substitution puts on ``z^m``."""
-    return np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
-
-
 def phase_relation_residual(space: FockSpace, z: complex) -> float:
     """Mismatch between the parity-phase-flipped cat states at ``z`` and the
     cat states at ``iz``, in max component modulus.
@@ -73,87 +82,10 @@ def phase_relation_residual(space: FockSpace, z: complex) -> float:
     factor ``i`` the substitution leaves (``(iz)^(2n+1) = i (-1)^n z^(2n+1)``).
     """
     z = complex(z)
-    phases = _quarter_turns(space.dim)
+    phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(space.dim) % 4]
     res_even = max_abs_norm(phases * even_ket(space, z) - even_ket(space, 1j * z))
     res_odd = max_abs_norm(phases * odd_ket(space, z) - odd_ket(space, 1j * z))
     return max(res_even, res_odd)
-
-
-@dataclass(frozen=True)
-class QuadratureGrid:
-    """Gauss-Laguerre rule in ``t = r^2`` crossed with uniform angles.
-
-    Realizes ``(1/pi) * integral d^2z`` as ``(1/M) sum_j sum_k w_k`` applied
-    to the integrand with its Gaussian factor ``exp(-t)`` stripped: that
-    factor is the Laguerre weight. The radial rule of ``K`` nodes is exact
-    for polynomials in ``t`` up to degree ``2K - 1``; ``M`` uniform angles
-    integrate ``exp(i k theta)`` exactly for ``|k| < M``.
-    """
-
-    radial_nodes: np.ndarray
-    radial_weights: np.ndarray
-    angular_count: int
-
-    def resolves(self, dim: int) -> bool:
-        """True when the rule is exact for the ``dim``-level resolution integrands."""
-        k = len(self.radial_nodes)
-        return 2 * k - 1 >= dim - 2 and self.angular_count > 2 * (dim - 2)
-
-
-def quadrature_grid(radial_count: int, angular_count: int) -> QuadratureGrid:
-    """Build a :class:`QuadratureGrid` with ``radial_count`` Laguerre nodes
-    and ``angular_count`` uniform angles."""
-    if radial_count < 1 or angular_count < 1:
-        raise ValueError("quadrature grid needs at least one radial node and one angle")
-    # laggauss weights overflow to NaN from about 187 nodes on: reject, never return NaN.
-    with np.errstate(over="ignore", invalid="ignore"):
-        nodes, weights = laggauss(radial_count)
-    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-        raise ValueError(f"radial_count={radial_count} gives non-finite Gauss-Laguerre nodes or weights")
-    return QuadratureGrid(nodes, weights, angular_count)
-
-
-def _resolution_target(space: FockSpace, parity: int, phased: bool) -> np.ndarray:
-    projector = parity_projectors(space)[parity]
-    if not phased:
-        return projector
-    # The iz substitution puts i^m on level m; on even support that is
-    # (-1)^(m/2), on odd support i*(-1)^((m-1)/2).
-    return _quarter_turns(space.dim)[:, None] * projector
-
-
-def resolution_residual(space: FockSpace, variant: str, grid: QuadratureGrid) -> float:
-    """Quadrature defect of a cat-state resolution of identity.
-
-    Accumulates ``Q = integral |u(z)><v(z)| d^2z/pi`` over the grid, where
-    ``(u, v)`` is ``(even, even)``, ``(odd, odd)``, ``(even at iz, even at
-    z)`` or ``(odd at iz, odd at z)``, and returns the max entrywise
-    deviation of ``Q`` from its closed form: the parity projector for the
-    plain variants, the projector with the ``i^m`` phases of the ``iz``
-    substitution for the phased ones.
-
-    An under-resolved grid (see :meth:`QuadratureGrid.resolves`) is not an
-    error; the defect is simply large.
-    """
-    if variant not in RESOLUTION_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}, expected one of {RESOLUTION_VARIANTS}")
-    parity = 0 if variant.startswith("even") else 1
-    phased = variant.endswith("phased")
-
-    # z = sqrt(t_k) e^(i theta_j) splits each bare amplitude z^n / sqrt(n!)
-    # into a radial and an angular factor, so the grid sum of |u><v| is the
-    # Hadamard product of a radial and an angular Gram matrix. sqrt(w_k) enters
-    # as the radial recursion's first term: the weight meets each factor before
-    # the two factors meet, so no intermediate overflows at large nodes.
-    dim = space.dim
-    m = grid.angular_count
-    radial = _ladder_amplitudes(np.sqrt(grid.radial_nodes), np.sqrt(grid.radial_weights), np.sqrt(np.arange(1, dim)))
-    radial[:, 1 - parity :: 2] = 0.0
-    angular = np.exp(2j * math.pi * (np.outer(np.arange(m), np.arange(dim)) % m) / m)
-    accumulated = (radial.T @ radial) * (angular.T @ angular.conj() / m)
-    if phased:
-        accumulated *= _quarter_turns(dim)[:, None]
-    return max_abs_norm(accumulated - _resolution_target(space, parity, phased))
 
 
 def _f_values(space: FockSpace, f) -> np.ndarray:

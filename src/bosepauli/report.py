@@ -1,18 +1,16 @@
 """Check records, machine-readable verification reports, and the parameter
 sweeps behind the command-line subcommands.
 
-Records, reports and the ``verify`` sweep load without numpy. Reports are
-written by a small formatter for their fixed shape (dicts, lists and
-scalars), token for token as ``json.dumps(payload, indent=2)`` writes them,
-without the pure-Python ``json`` encoder. The quadrature names need numpy and
-load on first use, through the module ``__getattr__``.
+Records, reports and the ``verify`` and ``quadrature`` sweeps load and run
+without numpy. Reports are written by a small formatter for their fixed shape
+(dicts, lists and scalars), token for token as ``json.dumps(payload, indent=2)``
+writes them, without the pure-Python ``json`` encoder.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
@@ -28,6 +26,7 @@ from .pauli import (
     sigma_three,
     verify_functional_equation,
 )
+from .quadrature import RESOLUTION_VARIANTS, quadrature_grid, resolution_residual
 
 if TYPE_CHECKING:
     import numpy as np
@@ -35,18 +34,7 @@ if TYPE_CHECKING:
 FUNCTIONAL_EQUATION_N_MAX = 1000
 DEFAULT_GRASSMANN_SOUL = 1.0 + 1.0j
 
-RESOLUTION_VARIANTS = ("even-plain", "odd-plain", "even-phased", "odd-phased")
 CSV_COLUMNS = ("identity_id", "paper_eq", "dim", "l", "variant", "residual", "tolerance", "pass")
-
-
-def __getattr__(name: str):
-    # PEP 562: quadrature_suite looks these up on the module, so they load on first use.
-    if name not in ("quadrature_grid", "resolution_residual"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import coherent
-
-    value = globals()[name] = getattr(coherent, name)
-    return value
 
 
 def _token(value) -> str:
@@ -195,13 +183,12 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
 
 def quadrature_suite(dim: int, radial: int, angular: int, variants: list[str], tolerance: float = 1e-12) -> VerificationReport:
     """Resolution-of-identity records for the requested variants."""
-    report = sys.modules[__name__]  # the numpy-backed names resolve through __getattr__
     space = FockSpace(dim)
-    grid = report.quadrature_grid(radial, angular)
+    grid = quadrature_grid(radial, angular)
     under_resolved = not grid.resolves(dim)
     records = []
     for variant in variants:
-        residual = report.resolution_residual(space, variant, grid)
+        residual = resolution_residual(space, variant, grid)
         equation = "(23)" if variant.endswith("plain") else "(28)"
         params = {
             "dim": dim,

@@ -3,7 +3,9 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
+from bosepauli import quadrature
 from bosepauli import (
     FockSpace,
     QuadratureGrid,
@@ -77,6 +79,37 @@ def test_coherent_ket_underflow_stays_finite():
     assert np.all(np.isfinite(ket))
 
 
+def _gaussian_first_coherent_ket(dim, z):
+    # Reference: the recursion started at level 0 from exp(-|z|^2/2), which is
+    # exact in form while that Gaussian is a normal double.
+    z = complex(z)
+    steps = np.concatenate([[math.exp(-(abs(z) ** 2) / 2.0)], z / np.sqrt(np.arange(1, dim))])
+    return np.cumprod(steps)
+
+
+@pytest.mark.parametrize("z", (0.0, 0.3, 1.1 + 0.4j, -2.5j, 10 + 10j, -17.5 + 12j, 21 - 21j, 30.0, 30j, -18 - 24j))
+def test_coherent_ket_starts_at_level_zero_unless_the_gaussian_underflows(z):
+    for dim in (2, 3, 64, 2000):
+        assert np.array_equal(coherent_ket(FockSpace(dim), z), _gaussian_first_coherent_ket(dim, z))
+
+
+@pytest.mark.parametrize("z", (40.0, 30 + 25j))
+def test_coherent_ket_past_gaussian_underflow_against_high_precision(z):
+    # exp(-|z|^2/2) is below 1e-308 here; the old recursion returned all zeros.
+    dim = 2000
+    ket = coherent_ket(FockSpace(dim), z)
+    with mpmath.workdps(50):
+        zm = mpmath.mpc(z)
+        exact = mpmath.exp(-abs(zm) ** 2 / 2)
+        for n in range(dim):
+            if abs(exact) > 1e-300:
+                assert abs(ket[n] - complex(exact)) <= 1e-12 * abs(complex(exact))
+            else:
+                assert abs(ket[n]) <= 1e-300
+            exact = exact * zm / mpmath.sqrt(n + 1)
+    assert abs(np.vdot(ket, ket).real - 1.0) <= 1e-12
+
+
 # ----------------------------------------------------------------- cat kets
 
 
@@ -138,7 +171,7 @@ def test_order_one_laguerre_rule():
 
 def test_order_two_rule_integrates_t_exactly():
     grid = quadrature_grid(2, 4)
-    value = float(np.sum(grid.radial_weights * grid.radial_nodes))
+    value = math.fsum(w * t for w, t in zip(grid.radial_weights, grid.radial_nodes))
     assert abs(value - 1.0) <= 1e-13
 
 
@@ -155,10 +188,68 @@ def test_grid_validation():
         quadrature_grid(4, 0)
 
 
-def test_grid_rejects_non_finite_laguerre_rule():
-    # numpy's laggauss overflows its weights to NaN from about 187 nodes
-    with pytest.raises(ValueError, match="radial_count=187"):
-        quadrature_grid(187, 4)
+@pytest.mark.parametrize("k", (187, 189, 400))
+def test_grid_gives_finite_laguerre_rule_at_large_k(k):
+    # numpy's laggauss overflows its weights to NaN from about 187 nodes; the
+    # log-weights stay finite where the weights themselves underflow
+    grid = quadrature_grid(k, 4)
+    assert len(grid.radial_nodes) == len(grid.log_weights) == k
+    assert all(math.isfinite(t) for t in grid.radial_nodes)
+    assert all(math.isfinite(lw) for lw in grid.log_weights)
+    assert all(a < b for a, b in zip(grid.radial_nodes, grid.radial_nodes[1:]))
+    assert min(grid.log_weights) < math.log(np.finfo(float).tiny)
+
+
+def _mpmath_laguerre_rule(k, nodes):
+    # Reference: Newton on L_k at 50 digits from the double nodes, then the
+    # classical weight t / ((k+1)^2 L_(k+1)(t)^2), a different formula from
+    # the Christoffel sum the library uses.
+    def laguerre(n, t):
+        previous, current = mpmath.mpf(0), mpmath.mpf(1)
+        for j in range(1, n + 1):
+            previous, current = current, ((2 * j - 1 - t) * current - (j - 1) * previous) / j
+        return current, previous
+
+    rule = []
+    with mpmath.workdps(50):
+        for t in map(mpmath.mpf, nodes):
+            for _ in range(3):  # quadratic convergence from ~1e-13: 1e-26, then 1e-50
+                value, below = laguerre(k, t)
+                t -= t * value / (k * (value - below))
+            rule.append((t, mpmath.log(t) - 2 * mpmath.log(k + 1) - 2 * mpmath.log(abs(laguerre(k + 1, t)[0]))))
+    return rule
+
+
+@pytest.mark.parametrize("k", (1, 2, 16, 64, 189))
+def test_laguerre_rule_against_high_precision(k):
+    nodes, log_weights = quadrature.laguerre_rule(k)
+    for t, log_weight, (exact_t, exact_log_weight) in zip(nodes, log_weights, _mpmath_laguerre_rule(k, nodes)):
+        assert abs(t - exact_t) <= 1e-12 * exact_t
+        assert abs(log_weight - exact_log_weight) <= 1e-12
+
+
+@pytest.mark.parametrize("k", (1, 2, 16, 64, 189, 400))
+def test_laguerre_rule_integrates_its_top_moments(k):
+    # sum_k w_k t_k^n / n! = 1 for n <= 2K-1, evaluated at 50 digits so that
+    # only the rule's own error shows
+    nodes, log_weights = quadrature.laguerre_rule(k)
+    with mpmath.workdps(50):
+        for n in (0, k, 2 * k - 1):
+            moment = mpmath.fsum(
+                mpmath.exp(mpmath.mpf(lw) + n * mpmath.log(mpmath.mpf(t)) - mpmath.loggamma(n + 1))
+                for t, lw in zip(nodes, log_weights)
+            )
+            assert abs(moment - 1) <= 1e-13
+
+
+def test_laguerre_rule_that_fails_raises_naming_radial_count(monkeypatch):
+    monkeypatch.setattr(quadrature, "_NEWTON_STEPS", 1)  # no guess lands within one step
+    with pytest.raises(ValueError, match="radial_count=16: .*did not converge"):
+        quadrature.laguerre_rule(16)
+    monkeypatch.undo()
+    monkeypatch.setattr(quadrature, "_node_guess", lambda index, count, nodes: 1.0)  # every node finds one root
+    with pytest.raises(ValueError, match="radial_count=16: .*not above"):
+        quadrature_grid(16, 4)
 
 
 def test_grid_resolution_predicate():
@@ -191,7 +282,7 @@ def test_resolution_stays_exact_past_threshold():
 def test_resolution_independent_of_node_order():
     space = FockSpace(16)
     grid = quadrature_grid(16, 64)
-    reversed_grid = QuadratureGrid(grid.radial_nodes[::-1], grid.radial_weights[::-1], grid.angular_count)
+    reversed_grid = QuadratureGrid(grid.radial_nodes[::-1], grid.log_weights[::-1], grid.angular_count)
     forward = resolution_residual(space, "even-plain", grid)
     backward = resolution_residual(space, "even-plain", reversed_grid)
     assert abs(forward - backward) <= 1e-13
@@ -236,9 +327,47 @@ def test_resolution_matches_outer_product_loop(variant):
                 assert abs(resolution_residual(space, variant, grid) - expected) <= 1e-13
 
 
+def _laggauss_grid(k, m):
+    # Reference: numpy's Gauss-Laguerre rule, finite up to 186 nodes.
+    nodes, weights = laggauss(k)
+    return QuadratureGrid(tuple(nodes), tuple(np.log(weights)), m)
+
+
+def _gram_resolution_residual(space, variant, grid):
+    # Reference: the grid sum of |u><v| as the Hadamard product of a radial
+    # and an angular Gram matrix, both formed in full.
+    parity = 0 if variant.startswith("even") else 1
+    dim, m = space.dim, grid.angular_count
+    steps = np.concatenate(
+        [np.sqrt(grid.radial_weights)[:, None], np.sqrt(grid.radial_nodes)[:, None] / np.sqrt(np.arange(1, dim))], axis=1
+    )
+    radial = np.cumprod(steps, axis=1)
+    radial[:, 1 - parity :: 2] = 0.0
+    angular = np.exp(2j * math.pi * (np.outer(np.arange(m), np.arange(dim)) % m) / m)
+    accumulated = (radial.T @ radial) * (angular.T @ angular.conj() / m)
+    quarter_turns = np.array([1.0, 1j, -1.0, -1j])[np.arange(dim) % 4]
+    target = np.diag((np.arange(dim) % 2 == parity).astype(complex))
+    if variant.endswith("phased"):
+        accumulated *= quarter_turns[:, None]
+        target *= quarter_turns[:, None]
+    return max_abs_norm(accumulated - target)
+
+
+@pytest.mark.parametrize("variant", RESOLUTION_VARIANTS)
+def test_resolution_matches_the_gram_product_on_the_laggauss_rule(variant):
+    # includes under-resolved grids, whose large defects must agree too
+    for k in (1, 2, 8, 16, 32, 64):
+        for m in (2, 4, 16, 64, 256):
+            grid, reference_grid = quadrature_grid(k, m), _laggauss_grid(k, m)
+            for dim in (2, 4, 8, 16, 32, 64):
+                expected = _gram_resolution_residual(FockSpace(dim), variant, reference_grid)
+                residual = resolution_residual(FockSpace(dim), variant, grid)
+                assert abs(residual - expected) <= 1e-13 * max(1.0, expected)
+
+
 @pytest.mark.parametrize("variant", RESOLUTION_VARIANTS)
 def test_resolution_finite_on_largest_grid(variant):
-    # the largest finite Laguerre rule has nodes near 713 and weights near 1e-308
+    # K=186, the largest rule laggauss keeps finite, has nodes near 713 and weights near 1e-308
     assert math.isfinite(resolution_residual(FockSpace(512), variant, quadrature_grid(186, 1024)))
 
 
