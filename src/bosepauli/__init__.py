@@ -6,8 +6,9 @@ Everything is a pure function over immutable inputs (frozen dataclasses,
 Python numbers and freshly allocated numpy arrays), safe to share across
 threads. The public names load on first use (PEP 562), so the certificates
 (``FockSpace``, ``BosonizationParams``, the identity catalog, the functional
-equation, the quadrature grid and residual, and the report records) import
-and run without numpy; the dense constructors import it when called.
+equation, the quadrature grid and residual, the Grassmann eigenvector check
+and the report records) and all four subcommands run without numpy; only the
+dense constructors import it, when called.
 """
 
 import importlib
@@ -53,7 +54,6 @@ _EXPORTS = {
     "GrassmannKet": "grassmann",
     "THETA": "grassmann",
     "apply_operator": "grassmann",
-    "grassmann_scale": "grassmann",
     "max_abs_amplitude": "grassmann",
     "sigma_minus_eigenket": "grassmann",
     "eigen_check": "grassmann",

@@ -83,8 +83,6 @@ def _check_dims(parser: argparse.ArgumentParser, dims: list[int]) -> None:
 
 
 def _check_ls(parser: argparse.ArgumentParser, ls: list[int]) -> None:
-    if not ls:
-        parser.error("--ls must not be empty")
     for l in ls:
         if l < 1:
             parser.error(f"--ls entries must be positive, got {l}")
@@ -143,11 +141,11 @@ def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     _check_dims(parser, [args.dim])
     if args.l < 1:
         parser.error(f"--l must be positive, got {args.l}")
-    matrix = named_operator(args.op, args.dim, args.l)
+    entries = named_operator(args.op, args.dim, args.l)
     if args.format == "csv":
-        sys.stdout.write(matrix_to_csv(matrix))
+        sys.stdout.write(matrix_to_csv(entries))
     else:
-        print(matrix_to_json(matrix))
+        print(matrix_to_json((args.dim, args.dim), entries))
     return 0
 
 

@@ -13,8 +13,9 @@ fall into at most two distinct classes. The identity catalog runs once per
 class, on 2x2 matrices of Python ``complex`` with entries in
 ``{0, +-1, +-i}``: their products and sums round nowhere, so the catalog is
 exact on every distinct block, and every block of the truncation is one of
-them. That certificate, like the functional equation, needs no numpy; only the
-public dense constructors import it, when called.
+them. That certificate, like the functional equation, needs no numpy, and
+neither do the ``dump`` entries, which are read off the blocks of the named
+operator. Only the public dense constructors import numpy, when called.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ if TYPE_CHECKING:
 
 def _cos_half_pi(n: int) -> int:
     """``cos(pi n / 2)`` as an exact integer, by case analysis on ``n mod 4``."""
-    r = n % 4
-    if r == 0:
-        return 1
-    if r == 2:
-        return -1
-    return 0
+    return (1, 0, -1, 0)[n % 4]
 
 
 def f_coefficient(n: int, l: int) -> float:
@@ -135,8 +131,13 @@ class _Block:
         return float(max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)))
 
 
-def _diagonal(upper, lower) -> _Block:
-    return _Block(upper, 0, 0, lower)
+# the diagonal blocks that are dump targets; the catalog uses them too
+_DIAGONAL_BLOCKS = {
+    "sigma_three": _Block(-1.0, 0, 0, 1.0),
+    "p_even": _Block(1.0, 0, 0, 0.0),
+    "p_odd": _Block(0.0, 0, 0, 1.0),
+}
+DUMPABLE_OPERATORS = ("sigma_minus", "sigma_plus", *_DIAGONAL_BLOCKS)
 
 
 def _lowering_block(n: int, l: int) -> tuple:
@@ -147,6 +148,17 @@ def _lowering_block(n: int, l: int) -> tuple:
     return (0, _cos_half_pi(2 * n) ** l, 0, 0)
 
 
+def _named_blocks(name: str, params: BosonizationParams) -> list[_Block]:
+    """Pair blocks of the operator named by one of :data:`DUMPABLE_OPERATORS`."""
+    pairs = params.space.dim // 2
+    if name in _DIAGONAL_BLOCKS:
+        return [_DIAGONAL_BLOCKS[name]] * pairs
+    if name not in DUMPABLE_OPERATORS:
+        raise ValueError(f"unknown operator {name!r}, expected one of {DUMPABLE_OPERATORS}")
+    lowering = [_Block(*_lowering_block(n, params.l)) for n in range(pairs)]
+    return lowering if name == "sigma_minus" else [block.dagger() for block in lowering]
+
+
 def _pauli_blocks(lowering: _Block) -> PauliSet:
     plus = lowering.dagger()
     return PauliSet(
@@ -154,31 +166,34 @@ def _pauli_blocks(lowering: _Block) -> PauliSet:
         sigma_plus=plus,
         sigma_one=plus + lowering,
         sigma_two=-1j * (plus - lowering),
-        sigma_three=_diagonal(-1.0, 1.0),
+        sigma_three=_DIAGONAL_BLOCKS["sigma_three"],
     )
 
 
-def _densify(blocks: np.ndarray) -> np.ndarray:
-    """Direct sum of a ``(pairs, 2, 2)`` stack: block ``n`` on levels ``(2n, 2n+1)``."""
-    import numpy as np
-
-    pairs = blocks.shape[0]
-    out = np.zeros((pairs, 2, pairs, 2), dtype=complex)
-    diagonal = np.arange(pairs)
-    out[diagonal, :, diagonal, :] = blocks
-    return out.reshape(2 * pairs, 2 * pairs)
+def _entries(blocks: list[_Block]) -> list[tuple[int, int, complex]]:
+    """Nonzero ``(row, col, value)`` entries of the direct sum of pair blocks,
+    block ``n`` on levels ``(2n, 2n+1)``, in row-major order."""
+    return [
+        (2 * n + row, 2 * n + col, value)
+        for n, block in enumerate(blocks)
+        for row, col, value in ((0, 0, block.a), (0, 1, block.b), (1, 0, block.c), (1, 1, block.d))
+        if value
+    ]
 
 
 def _direct_sum(blocks: list[_Block]) -> np.ndarray:
     """Direct sum of pair blocks, as a dense complex matrix."""
     import numpy as np
 
-    return _densify(np.array([(b.a, b.b, b.c, b.d) for b in blocks], dtype=complex).reshape(-1, 2, 2))
+    out = np.zeros((2 * len(blocks), 2 * len(blocks)), dtype=complex)
+    for row, col, value in _entries(blocks):
+        out[row, col] = value
+    return out
 
 
 def sigma_minus(params: BosonizationParams) -> np.ndarray:
     """Lowering operator ``sigma_- = f(N) a = cos^l(pi N/2) (N+1)^(-1/2) a``."""
-    return _direct_sum([_Block(*_lowering_block(n, params.l)) for n in range(params.space.dim // 2)])
+    return _direct_sum(_named_blocks("sigma_minus", params))
 
 
 def closed_form_sigma_minus(params: BosonizationParams) -> np.ndarray:
@@ -207,7 +222,7 @@ def sigma_three(space: FockSpace) -> np.ndarray:
     """
     if space.dim % 2 != 0:
         raise ValueError(f"dim={space.dim} is odd; sigma_three needs an even truncation")
-    return _direct_sum([_diagonal(-1.0, 1.0)] * (space.dim // 2))
+    return _direct_sum([_DIAGONAL_BLOCKS["sigma_three"]] * (space.dim // 2))
 
 
 def parity_projectors(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -244,8 +259,8 @@ def _catalog(lowering: _Block) -> list[tuple[str, str, float]]:
     """``(identity, paper equation, residual)`` of every catalog entry on the
     pair block whose ``sigma_-`` is ``lowering``."""
     ops = _pauli_blocks(lowering)
-    eye, zero = _diagonal(1.0, 1.0), _diagonal(0.0, 0.0)
-    p_even, p_odd = _diagonal(1.0, 0.0), _diagonal(0.0, 1.0)
+    eye, zero = _Block(1.0, 0, 0, 1.0), _Block(0.0, 0, 0, 0.0)
+    p_even, p_odd = _DIAGONAL_BLOCKS["p_even"], _DIAGONAL_BLOCKS["p_odd"]
     triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}
 
     checks: list[tuple[str, str, _Block | str]] = []

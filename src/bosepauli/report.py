@@ -1,10 +1,11 @@
-"""Check records, machine-readable verification reports, and the parameter
-sweeps behind the command-line subcommands.
+"""Check records, machine-readable verification reports, the parameter
+sweeps behind the command-line subcommands, and the ``dump`` writers.
 
-Records, reports and the ``verify`` and ``quadrature`` sweeps load and run
-without numpy. Reports are written by a small formatter for their fixed shape
-(dicts, lists and scalars), token for token as ``json.dumps(payload, indent=2)``
-writes them, without the pure-Python ``json`` encoder.
+None of them imports numpy: a dump is the nonzero ``(row, col, value)``
+entries of the operator's pair blocks, never a dense matrix. Reports are
+written by a small formatter for their fixed shape (dicts, lists and scalars),
+token for token as ``json.dumps(payload, indent=2)`` writes them, without the
+pure-Python ``json`` encoder.
 """
 
 from __future__ import annotations
@@ -13,23 +14,19 @@ import io
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import TYPE_CHECKING
 
 from ._version import __version__
-from .fock import FockSpace, dagger
+from .fock import FockSpace
 from .grassmann import GrassmannScalar, eigen_check
 from .pauli import (
+    DUMPABLE_OPERATORS,
     BosonizationParams,
+    _entries,
+    _named_blocks,
     algebra_residuals,
-    parity_projectors,
-    sigma_minus,
-    sigma_three,
     verify_functional_equation,
 )
 from .quadrature import RESOLUTION_VARIANTS, quadrature_grid, resolution_residual
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FUNCTIONAL_EQUATION_N_MAX = 1000
 DEFAULT_GRASSMANN_SOUL = 1.0 + 1.0j
@@ -201,54 +198,37 @@ def quadrature_suite(dim: int, radial: int, angular: int, variants: list[str], t
     return VerificationReport(records)
 
 
-def grassmann_suite(dims: list[int], ls: list[int], soul: complex = DEFAULT_GRASSMANN_SOUL) -> VerificationReport:
-    """Grassmann eigenvector records (eigenvalue relation and nilpotency) over dims x ls."""
-    xi = GrassmannScalar(0j, complex(soul))
+def grassmann_suite(dims: list[int], ls: list[int]) -> VerificationReport:
+    """Grassmann eigenvector records (eigenvalue relation and nilpotency) over
+    dims x ls, for ``xi = DEFAULT_GRASSMANN_SOUL * theta``."""
+    xi = GrassmannScalar(0j, DEFAULT_GRASSMANN_SOUL)
     records = []
     for dim in dims:
         for l in ls:
-            eigen_res, nil_res = eigen_check(FockSpace(dim), l, xi)
             params = {"dim": dim, "l": l, "soul_re": xi.soul.real, "soul_im": xi.soul.imag}
-            records.append(
-                CheckRecord("sigma_minus_grassmann_eigenpair", "(37)-(38)", params, max(eigen_res, nil_res), 0.0)
-            )
+            residual = max(eigen_check(FockSpace(dim), l, xi))
+            records.append(CheckRecord("sigma_minus_grassmann_eigenpair", "(37)-(38)", params, residual, 0.0))
     return VerificationReport(records)
 
 
-DUMPABLE_OPERATORS = ("sigma_minus", "sigma_plus", "sigma_three", "p_even", "p_odd")
+def named_operator(name: str, dim: int, l: int) -> list[tuple[int, int, complex]]:
+    """Nonzero ``(row, col, value)`` entries, in row-major order, of a dump
+    target on an even-dimensional space."""
+    return _entries(_named_blocks(name, BosonizationParams(l, FockSpace(dim))))
 
 
-def named_operator(name: str, dim: int, l: int) -> np.ndarray:
-    """Resolve a dump target by name on an even-dimensional space."""
-    space = FockSpace(dim)
-    if name in ("sigma_minus", "sigma_plus"):
-        lowering = sigma_minus(BosonizationParams(l, space))
-        return lowering if name == "sigma_minus" else dagger(lowering)
-    if name == "sigma_three":
-        return sigma_three(space)
-    if name == "p_even":
-        return parity_projectors(space)[0]
-    if name == "p_odd":
-        return parity_projectors(space)[1]
-    raise ValueError(f"unknown operator {name!r}, expected one of {DUMPABLE_OPERATORS}")
-
-
-def matrix_to_json(op: np.ndarray) -> str:
-    """Matrix as a JSON array of rows of [re, im] pairs. Adding 0.0 prints -0.0
-    as 0.0, so a dump does not depend on how the operator was built. Zeros share
-    one ``[0.0, 0.0]`` token, so only the nonzero entries are formatted one by one."""
-    rows = [["[0.0, 0.0]"] * op.shape[1] for _ in range(op.shape[0])]
-    for i, j in zip(*op.nonzero()):
-        rows[i][j] = f"[{_token(op[i, j].real + 0.0)}, {_token(op[i, j].imag + 0.0)}]"
+def matrix_to_json(shape: tuple[int, int], entries) -> str:
+    """``shape`` matrix with the nonzero ``(row, col, value)`` entries, as a JSON
+    array of rows of [re, im] pairs; zeros share one ``[0.0, 0.0]`` token. Adding
+    0.0 prints -0.0 as 0.0, so a dump does not depend on how it was built."""
+    rows = [["[0.0, 0.0]"] * shape[1] for _ in range(shape[0])]
+    for i, j, value in entries:
+        rows[i][j] = f"[{_token(value.real + 0.0)}, {_token(value.imag + 0.0)}]"
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
 
 
-def _number(value: float) -> str:
-    return format(value + 0.0, ".12g")
-
-
-def matrix_to_csv(op: np.ndarray) -> str:
-    """Sparse triplet lines ``row,col,re,im``; zero entries are omitted and
-    zero parts print unsigned."""
-    lines = [f"{i},{j},{_number(op[i, j].real)},{_number(op[i, j].imag)}" for i, j in zip(*op.nonzero())]
+def matrix_to_csv(entries) -> str:
+    """Sparse triplet lines ``row,col,re,im`` of the nonzero ``(row, col,
+    value)`` entries; zero parts print unsigned."""
+    lines = [f"{i},{j},{value.real + 0.0:.12g},{value.imag + 0.0:.12g}" for i, j, value in entries]
     return "\n".join(lines) + ("\n" if lines else "")

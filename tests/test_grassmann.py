@@ -1,3 +1,6 @@
+import io
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,11 +13,13 @@ from bosepauli import (
     GrassmannScalar,
     apply_operator,
     eigen_check,
-    grassmann_scale,
+    fock_ket,
     max_abs_amplitude,
+    max_abs_norm,
     sigma_minus,
     sigma_minus_eigenket,
 )
+from bosepauli import cli, pauli
 
 
 def test_generator_squares_to_zero():
@@ -134,16 +139,16 @@ def test_eigenket_vacuum_limit():
 def test_eigenket_rejects_nonzero_body():
     with pytest.raises(ValueError):
         sigma_minus_eigenket(FockSpace(4), GrassmannScalar(1, 1))
+    with pytest.raises(ValueError, match="zero body"):
+        eigen_check(FockSpace(4), 1, GrassmannScalar(1, 1))
 
 
-def test_grassmann_scale_squares_eigenvalue_away():
-    space = FockSpace(4)
-    xi = GrassmannScalar(0, 1 - 2j)
-    ket = sigma_minus_eigenket(space, xi)
-    scaled = grassmann_scale(xi, ket)
-    # xi * xi on level 1 vanishes identically
-    assert scaled.amplitude(1) == GrassmannScalar(0, 0)
-    assert scaled.amplitude(0) == GrassmannScalar(0, xi.soul)
+@pytest.mark.parametrize("soul", (complex("nan"), complex("inf"), complex(0, float("-inf")), complex(1, float("nan"))))
+def test_eigenket_and_eigen_check_reject_a_non_finite_soul(soul):
+    with pytest.raises(ValueError):
+        sigma_minus_eigenket(FockSpace(4), GrassmannScalar(0, soul))
+    with pytest.raises(ValueError, match="finite soul"):
+        eigen_check(FockSpace(4), 1, GrassmannScalar(0, soul))
 
 
 # ------------------------------------------------------------- eigen check
@@ -178,3 +183,78 @@ def test_double_lowering_kills_any_ket_exactly():
             rng.standard_normal(12) + 1j * rng.standard_normal(12),
         )
         assert max_abs_amplitude(apply_operator(op, apply_operator(op, ket))) == 0.0
+
+
+# ------------------------------------------------------- dense eigen check
+
+
+def _dense_eigen_check(space, l, xi):
+    # reference: sigma_- as a dense D x D matrix applied to the whole D-level ket
+    op = sigma_minus(BosonizationParams(l, space))
+    ket = GrassmannKet(space, fock_ket(space, 0), xi.soul * fock_ket(space, 1))
+    lowered = apply_operator(op, ket)
+    expected_body = xi.body * ket.body
+    expected_soul = xi.body * ket.soul + xi.soul * ket.body
+    eigenvalue_residual = max(max_abs_norm(lowered.body - expected_body), max_abs_norm(lowered.soul - expected_soul))
+    return eigenvalue_residual, max_abs_amplitude(apply_operator(op, lowered))
+
+
+ORACLE_SOULS = (0, 1, 2, 1 + 1j, 1e300, 5e-324)
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_eigen_check_is_bit_equal_to_the_dense_check(l):
+    for dim in (*range(2, 65, 2), 256, 1024):
+        for soul in ORACLE_SOULS:
+            xi = GrassmannScalar(0, soul)
+            fast, reference = eigen_check(FockSpace(dim), l, xi), _dense_eigen_check(FockSpace(dim), l, xi)
+            assert fast == reference == (0.0, 0.0), (dim, soul)
+            assert all(isinstance(r, float) for r in fast)
+
+
+def test_eigen_check_rejects_what_the_dense_check_rejects():
+    for space, l in ((FockSpace(4), 0), (FockSpace(5), 1), (FockSpace(6), 1.5)):
+        with pytest.raises(ValueError):
+            _dense_eigen_check(space, l, THETA)
+        with pytest.raises(ValueError):
+            eigen_check(space, l, THETA)
+
+
+# block 0 of sigma_- is (b00, b01, b10, b11) = (0, 1, 0, 0) for every l
+BLOCK_ZERO_DEFECTS = {
+    "wrong_sign": (0, -1, 0, 0),
+    "top_left_slot": (1, 0, 0, 0),
+    "bottom_left_slot": (0, 0, 1, 0),
+    "bottom_right_slot": (0, 0, 0, 1),
+    "extra_entry": (0, 1, 0.5j, 0),
+    "scaled": (0, 1 + 2**-52, 0, 0),
+}
+
+
+@pytest.mark.parametrize("defect", BLOCK_ZERO_DEFECTS)
+def test_a_block_zero_defect_fails_the_eigen_check_and_the_cli(monkeypatch, defect):
+    lowering_block = pauli._lowering_block
+
+    def defective(n, l):
+        return BLOCK_ZERO_DEFECTS[defect] if n == 0 else lowering_block(n, l)
+
+    monkeypatch.setattr(pauli, "_lowering_block", defective)
+    for l in (1, 2, 3):
+        for dim in (2, 8, 64):
+            for soul in (1, 1 + 1j, 1e300):
+                xi = GrassmannScalar(0, soul)
+                residuals = eigen_check(FockSpace(dim), l, xi)
+                assert residuals == _dense_eigen_check(FockSpace(dim), l, xi), (l, dim, soul)
+                assert max(residuals) > 0.0
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["grassmann", "--dims", "2,1024", "--ls", "1,2"]) == 1
+    assert '"fail": 4' in out.getvalue()
+
+
+def test_a_defect_above_block_zero_leaves_the_eigen_check_exact(monkeypatch):
+    # the eigenket is zero above level 1, so no other block can reach it
+    lowering_block = pauli._lowering_block
+    monkeypatch.setattr(pauli, "_lowering_block", lambda n, l: (1, 1, 1, 1) if n > 0 else lowering_block(n, l))
+    for dim in (4, 64):
+        assert eigen_check(FockSpace(dim), 1, THETA) == _dense_eigen_check(FockSpace(dim), 1, THETA) == (0.0, 0.0)

@@ -25,7 +25,7 @@ from bosepauli import (
     verify_functional_equation,
 )
 from bosepauli import pauli
-from bosepauli.pauli import _densify
+from bosepauli.pauli import _Block, _direct_sum, _entries
 
 EVEN_DIMS = (2, 4, 8, 16, 32, 64)
 EXPONENTS = (1, 2, 3, 4, 5, 6)
@@ -420,32 +420,44 @@ def test_class_catalog_matches_the_stack_catalog_on_defective_blocks(l, pairs, d
 # ------------------------------------------------------------- pair blocks
 
 
-def _unit_stacks(key):
-    # entries in {0, +-1, +-i}: every product and sum below is exact
-    return arrays(
-        np.complex128,
-        st.tuples(st.shared(st.integers(1, 6), key=key), st.just(2), st.just(2)),
-        elements=st.sampled_from((0, 1, -1, 1j, -1j)),
+_UNIT = st.sampled_from((0, 1, -1, 1j, -1j))  # every product and sum below is exact
+
+
+def _unit_blocks(key):
+    return st.shared(st.integers(1, 6), key=key).flatmap(
+        lambda pairs: st.lists(st.builds(_Block, _UNIT, _UNIT, _UNIT, _UNIT), min_size=pairs, max_size=pairs)
     )
 
 
 @settings(max_examples=100, deadline=None)
-@given(_unit_stacks("pairs"), _unit_stacks("pairs"))
+@given(_unit_blocks("pairs"), _unit_blocks("pairs"))
 def test_block_operations_commute_with_densifying(a, b):
-    dense_a, dense_b = _densify(a), _densify(b)
-    assert np.array_equal(_densify(commutator(a, b)), commutator(dense_a, dense_b))
-    assert np.array_equal(_densify(anticommutator(a, b)), anticommutator(dense_a, dense_b))
-    assert np.array_equal(_densify(dagger(a)), dagger(dense_a))
-    assert max_abs_norm(a) == max_abs_norm(dense_a)
+    dense_a, dense_b = _direct_sum(a), _direct_sum(b)
+    assert np.array_equal(_direct_sum([commutator(x, y) for x, y in zip(a, b)]), commutator(dense_a, dense_b))
+    assert np.array_equal(_direct_sum([anticommutator(x, y) for x, y in zip(a, b)]), anticommutator(dense_a, dense_b))
+    assert np.array_equal(_direct_sum([x.dagger() for x in a]), dagger(dense_a))
+    assert max(x.max_abs() for x in a) == max_abs_norm(dense_a)
 
 
 def test_densify_places_blocks_on_level_pairs():
-    blocks = np.arange(12, dtype=complex).reshape(3, 2, 2) + 1
-    dense = _densify(blocks)
-    assert dense.shape == (6, 6)
-    for n in range(3):
-        assert np.array_equal(dense[2 * n : 2 * n + 2, 2 * n : 2 * n + 2], blocks[n])
+    blocks = [_Block(4 * n + 1, 4 * n + 2, 4 * n + 3, 4 * n + 4) for n in range(3)]
+    dense = _direct_sum(blocks)
+    assert dense.shape == (6, 6) and dense.dtype == complex
+    for n, block in enumerate(blocks):
+        assert np.array_equal(dense[2 * n : 2 * n + 2, 2 * n : 2 * n + 2], [[block.a, block.b], [block.c, block.d]])
     assert np.count_nonzero(dense) == 12
+
+
+_ENTRY = st.sampled_from((0, -0.0, 0j, complex(-0.0, -0.0), 1, -1.5, 1j, complex(-0.0, 2), math.nan))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.builds(_Block, _ENTRY, _ENTRY, _ENTRY, _ENTRY), max_size=6))
+def test_entries_are_the_nonzero_entries_of_the_direct_sum_in_row_major_order(blocks):
+    # reference: numpy's row-major nonzero scan of the dense matrix
+    dense = _direct_sum(blocks)
+    expected = [(i, j, repr(complex(dense[i, j]))) for i, j in zip(*dense.nonzero())]
+    assert [(i, j, repr(complex(value))) for i, j, value in _entries(blocks)] == expected
 
 
 def test_dense_constructors_return_numpy_arrays():

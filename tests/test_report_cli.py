@@ -11,7 +11,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bosepauli import BosonizationParams, FockSpace, algebra_residuals, pauli_set, verify_functional_equation
+from bosepauli import (
+    BosonizationParams,
+    FockSpace,
+    algebra_residuals,
+    dagger,
+    parity_projectors,
+    pauli_set,
+    sigma_minus,
+    sigma_three,
+    verify_functional_equation,
+)
 from bosepauli import pauli
 from bosepauli.report import (
     CSV_COLUMNS,
@@ -249,16 +259,22 @@ def test_named_operator_rejects_unknown_name():
         named_operator("sigma_zero", 4, 2)
 
 
+def _nonzero_entries(op):
+    # reference: numpy's row-major scan for the nonzero entries of a dense matrix
+    return [(i, j, op[i, j]) for i, j in zip(*op.nonzero())]
+
+
 def test_named_operator_projectors():
-    assert np.array_equal(named_operator("p_even", 4, 2), np.diag([1, 0, 1, 0]).astype(complex))
-    assert np.array_equal(named_operator("p_odd", 4, 2), np.diag([0, 1, 0, 1]).astype(complex))
+    assert named_operator("p_even", 4, 2) == _nonzero_entries(np.diag([1, 0, 1, 0]).astype(complex))
+    assert named_operator("p_odd", 4, 2) == _nonzero_entries(np.diag([0, 1, 0, 1]).astype(complex))
 
 
 def test_named_ladder_operators_match_pauli_set():
     for dim, l in ((2, 1), (6, 3), (8, 2)):
         ops = pauli_set(BosonizationParams(l, FockSpace(dim)))
-        assert np.array_equal(named_operator("sigma_minus", dim, l), ops.sigma_minus)
-        assert np.array_equal(named_operator("sigma_plus", dim, l), ops.sigma_plus)
+        assert named_operator("sigma_minus", dim, l) == _nonzero_entries(ops.sigma_minus)
+        assert named_operator("sigma_plus", dim, l) == _nonzero_entries(ops.sigma_plus)
+        assert named_operator("sigma_three", dim, l) == _nonzero_entries(sigma_three(FockSpace(dim)))
 
 
 def test_matrix_csv_omits_zeros():
@@ -275,7 +291,7 @@ def test_matrix_json_matches_whole_matrix_dump():
     # reference: one json.dumps of the nested list of every entry
     op = np.array([[-0.0 - 0.0j, 1.5 - 0.25j, 1e-300j], [-2.0 + 0.0j, 0.1 + 0.2j, -0.0 + 3.0j]])
     whole = json.dumps([[[float(e.real), float(e.imag)] for e in row + 0.0] for row in op])
-    assert matrix_to_json(op) == whole
+    assert matrix_to_json(op.shape, _nonzero_entries(op)) == whole
 
 
 def _whole_matrix_json(op):
@@ -302,19 +318,51 @@ _SHAPE = st.one_of(
 
 @given(arrays(np.complex128, _SHAPE, elements=_ENTRY))
 def test_matrix_json_matches_whole_matrix_dump_on_sparse_matrices(op):
-    assert matrix_to_json(op) == _whole_matrix_json(op)
+    assert matrix_to_json(op.shape, _nonzero_entries(op)) == _whole_matrix_json(op)
+
+
+def _dense_named_operator(name, dim, l):
+    # reference: each dump target from the public dense constructors
+    space = FockSpace(dim)
+    if name in ("sigma_minus", "sigma_plus"):
+        lowering = sigma_minus(BosonizationParams(l, space))
+        return lowering if name == "sigma_minus" else dagger(lowering)
+    if name == "sigma_three":
+        return sigma_three(space)
+    return parity_projectors(space)[0 if name == "p_even" else 1]
 
 
 @pytest.mark.parametrize("l", (1, 2))
 @pytest.mark.parametrize("dim", (2, 6, 64))
 @pytest.mark.parametrize("name", DUMPABLE_OPERATORS)
 def test_matrix_json_named_operators_match_whole_matrix_dump(name, dim, l):
-    op = named_operator(name, dim, l)
-    assert matrix_to_json(op) == _whole_matrix_json(op)
+    op = _dense_named_operator(name, dim, l)
+    assert named_operator(name, dim, l) == _nonzero_entries(op)
+    assert matrix_to_json(op.shape, named_operator(name, dim, l)) == _whole_matrix_json(op)
+
+
+def _dense_matrix_csv(op):
+    # reference: one row,col,re,im line per nonzero entry of the dense matrix
+    lines = []
+    for i, j in zip(*op.nonzero()):
+        lines.append(f"{i},{j},{format(op[i, j].real + 0.0, '.12g')},{format(op[i, j].imag + 0.0, '.12g')}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("dim", (2, 6, 64, 1024))
+@pytest.mark.parametrize("name", DUMPABLE_OPERATORS)
+def test_matrix_csv_named_operators_match_the_dense_scan(name, dim, l):
+    assert matrix_to_csv(named_operator(name, dim, l)) == _dense_matrix_csv(_dense_named_operator(name, dim, l))
+
+
+@given(arrays(np.complex128, _SHAPE, elements=_ENTRY))
+def test_matrix_csv_matches_the_dense_scan_on_sparse_matrices(op):
+    assert matrix_to_csv(_nonzero_entries(op)) == _dense_matrix_csv(op)
 
 
 def test_matrix_json_shape():
-    rows = json.loads(matrix_to_json(named_operator("sigma_three", 4, 2)))
+    rows = json.loads(matrix_to_json((4, 4), named_operator("sigma_three", 4, 2)))
     assert rows == [
         [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
         [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -481,13 +529,18 @@ def _run_from_source_tree(*args):
 
 
 # argv -> exit code; the quadrature runs are the benchmark's resolved,
-# under-resolved and K=189 resolution-grid invocations
+# under-resolved and K=189 resolution-grid invocations, and the D=1024 dumps
+# and the grassmann run are operator-export's
 NUMPY_FREE_RUNS = {
     ("verify", "--dims", "2,4", "--ls", "1,2"): 0,
     ("--help",): 0,
     ("quadrature", "--dim", "64", "--radial", "64", "--angular", "256"): 0,
     ("quadrature", "--dim", "64", "--radial", "8", "--angular", "16"): 1,
     ("quadrature", "--dim", "2", "--radial", "189", "--angular", "4"): 0,
+    **{("dump", "--op", op, "--dim", "64", "--format", fmt): 0 for op in DUMPABLE_OPERATORS for fmt in ("json", "csv")},
+    ("dump", "--op", "sigma_minus", "--dim", "1024", "--l", "3", "--format", "json"): 0,
+    ("dump", "--op", "sigma_plus", "--dim", "1024", "--l", "5", "--format", "csv"): 0,
+    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): 0,
 }
 
 
@@ -506,7 +559,7 @@ def test_every_public_name_resolves_and_the_numpy_subcommands_still_run():
         " print(len(names), len(set(names)), all(getattr(bosepauli, n) is not None for n in names), 'numpy' in sys.modules)"
     )
     proc = _run_from_source_tree("-c", code)
-    assert proc.stdout.split() == ["46", "46", "True", "True"]
+    assert proc.stdout.split() == ["45", "45", "True", "True"]
     for args in (
         ("dump", "--op", "sigma_three", "--dim", "4"),
         ("quadrature", "--dim", "8", "--radial", "8", "--angular", "32"),
@@ -515,3 +568,18 @@ def test_every_public_name_resolves_and_the_numpy_subcommands_still_run():
         proc = _run_from_source_tree("-m", "bosepauli", *args)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)
+
+
+def test_cli_dump_and_grassmann_run_at_sizes_no_dense_matrix_fits():
+    # a dense sigma_- would take 640 GB at D=200000 and 16 TB at D=1000000
+    proc = _run_from_source_tree("-m", "bosepauli", "dump", "--op", "sigma_minus", "--dim", "200000", "--format", "csv")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 100_000
+    assert lines[0] == "0,1,1,0" and lines[-1] == "199998,199999,1,0"
+    proc = _run_from_source_tree("-m", "bosepauli", "grassmann", "--dims", "1000000", "--ls", "1,2")
+    assert proc.returncode == 0
+    records = json.loads(proc.stdout)["records"]
+    assert len(records) == 2
+    assert all(record["residual"] == 0.0 and record["pass"] for record in records)
+    assert proc.stdout.count('"residual": 0.0,') == 2
