@@ -2,13 +2,13 @@
 Fock spaces, with exact identity certification, cat-state resolutions of
 identity, and Grassmann-eigenvalue eigenvectors of the lowering operator.
 
-Everything is a pure function over immutable inputs (frozen dataclasses,
-Python numbers and freshly allocated numpy arrays), safe to share across
-threads. The public names load on first use (PEP 562), so the certificates
-(``FockSpace``, ``BosonizationParams``, the identity catalog, the functional
-equation, the quadrature grid and residual, the Grassmann eigenvector check
-and the report records) and all four subcommands run without numpy; only the
-dense constructors import it, when called.
+Everything is a pure function over immutable inputs (named tuples, frozen
+``__slots__`` values, Python numbers and freshly allocated numpy arrays), safe
+to share across threads. The public names load on first use (PEP 562), so
+the certificates (``FockSpace``, ``BosonizationParams``, the identity
+catalog, the functional equation, the quadrature grid and residual, the
+Grassmann eigenvector check and the report records) and all four subcommands
+run without numpy; only the dense constructors import it, when called.
 """
 
 import importlib

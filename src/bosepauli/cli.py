@@ -73,19 +73,21 @@ def _build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--dim", type=int, required=True)
     dump.add_argument("--l", type=int, default=2, help="representation exponent (sign pattern depends on parity)")
     dump.add_argument("--format", choices=("json", "csv"), default="json")
+    for subparser in sub.choices.values():  # checks after parsing report as the subcommand's own errors do
+        subparser.set_defaults(usage_error=subparser.error)
     return parser
 
 
-def _check_dims(parser: argparse.ArgumentParser, dims: list[int]) -> None:
+def _check_dims(usage_error, dims: list[int]) -> None:
     for dim in dims:
         if dim < 2 or dim % 2 != 0:
-            parser.error(f"--dims entries must be even and >= 2, got {dim}")
+            usage_error(f"--dims entries must be even and >= 2, got {dim}")
 
 
-def _check_ls(parser: argparse.ArgumentParser, ls: list[int]) -> None:
+def _check_ls(usage_error, ls: list[int]) -> None:
     for l in ls:
         if l < 1:
-            parser.error(f"--ls entries must be positive, got {l}")
+            usage_error(f"--ls entries must be positive, got {l}")
 
 
 def _emit(report: VerificationReport, fmt: str) -> int:
@@ -99,48 +101,51 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--tol" in argv[:-1]:  # as --tol=VALUE, since argparse takes a VALUE like -1e-3 or -inf for an option
-        at = argv.index("--tol")
-        argv[at : at + 2] = ["--tol=" + argv[at + 1]]
+    at = 0
+    while at < len(argv) - 1:  # each --tol VALUE as --tol=VALUE: argparse takes a VALUE like -1e-3 or -inf for an option
+        if argv[at] == "--tol":
+            argv[at : at + 2] = ["--tol=" + argv[at + 1]]
+        at += 1
     args = parser.parse_args(argv)
     if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # false for NaN too
-        parser.error(f"--tol must be a finite number >= 0, got {args.tol}")
+        args.usage_error(f"--tol must be a finite number >= 0, got {args.tol}")
     if "tol" in args:
         args.tol += 0.0  # -0.0 passes the range check; reports print it unsigned
     try:
-        return _dispatch(parser, args)
+        return _dispatch(args)
     except ValueError as exc:  # a parameter the library rejects is a usage error
-        parser.error(str(exc))
+        args.usage_error(str(exc))
 
 
-def _dispatch(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace) -> int:
+    error = args.usage_error
     if args.command == "verify":
-        _check_dims(parser, args.dims)
-        _check_ls(parser, args.ls)
+        _check_dims(error, args.dims)
+        _check_ls(error, args.ls)
         return _emit(algebra_suite(args.dims, args.ls, args.tol), args.format)
 
     if args.command == "quadrature":
-        _check_dims(parser, [args.dim])
+        _check_dims(error, [args.dim])
         if args.radial < 1 or args.angular < 1:
-            parser.error("--radial and --angular must be >= 1")
+            error("--radial and --angular must be >= 1")
         if args.variants == "all":
             variants = list(RESOLUTION_VARIANTS)
         else:
             variants = [piece.strip() for piece in args.variants.split(",") if piece.strip()]
             unknown = [v for v in variants if v not in RESOLUTION_VARIANTS]
             if not variants or unknown:
-                parser.error(f"--variants must name variants among {RESOLUTION_VARIANTS}")
+                error(f"--variants must name variants among {RESOLUTION_VARIANTS}")
         return _emit(quadrature_suite(args.dim, args.radial, args.angular, variants, args.tol), args.format)
 
     if args.command == "grassmann":
-        _check_dims(parser, args.dims)
-        _check_ls(parser, args.ls)
+        _check_dims(error, args.dims)
+        _check_ls(error, args.ls)
         return _emit(grassmann_suite(args.dims, args.ls), args.format)
 
     # dump
-    _check_dims(parser, [args.dim])
+    _check_dims(error, [args.dim])
     if args.l < 1:
-        parser.error(f"--l must be positive, got {args.l}")
+        error(f"--l must be positive, got {args.l}")
     entries = named_operator(args.op, args.dim, args.l)
     if args.format == "csv":
         sys.stdout.write(matrix_to_csv(entries))

@@ -15,22 +15,21 @@ without it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class FockSpace:
+class FockSpace(NamedTuple("FockSpace", [("dim", int)])):
     """Truncated Fock space holding the number states ``|0> .. |dim-1>``."""
 
-    dim: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.dim, int) or self.dim < 2:
-            raise ValueError(f"a Fock space needs at least two levels, got dim={self.dim!r}")
+    def __new__(cls, dim: int):
+        if not isinstance(dim, int) or dim < 2:
+            raise ValueError(f"a Fock space needs at least two levels, got dim={dim!r}")
+        return super().__new__(cls, dim)
 
 
 def annihilator(space: FockSpace) -> np.ndarray:

@@ -12,7 +12,6 @@ eigenket of ``sigma_-`` lives on levels 0 and 1, so it runs on pair block 0 of
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from numbers import Number
 from typing import TYPE_CHECKING
 
@@ -31,12 +30,46 @@ def _coerce(value):
     return None
 
 
-@dataclass(frozen=True)
-class GrassmannScalar:
+class _Value:
+    """Immutable fields in ``__slots__``, compared, hashed and shown by value.
+    Not a tuple: numpy would broadcast over one instead of calling its
+    arithmetic."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GrassmannScalar(_Value):
     """Element ``body + soul * theta`` of the one-generator algebra."""
 
-    body: complex = 0j
-    soul: complex = 0j
+    __slots__ = ("body", "soul")
+
+    def __init__(self, body: complex = 0j, soul: complex = 0j):
+        super().__init__(body, soul)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -80,22 +113,20 @@ class GrassmannScalar:
 THETA = GrassmannScalar(0j, 1.0 + 0j)
 
 
-@dataclass(frozen=True)
-class GrassmannKet:
+class GrassmannKet(_Value):
     """Ket with Grassmann amplitudes ``body[n] + soul[n] * theta``."""
 
-    space: FockSpace
-    body: np.ndarray
-    soul: np.ndarray
+    __slots__ = ("space", "body", "soul")
 
-    def __post_init__(self):
+    def __init__(self, space: FockSpace, body: np.ndarray, soul: np.ndarray):
         import numpy as np
 
-        for part in (self.body, self.soul):
-            if part.shape != (self.space.dim,):
-                raise ValueError(f"amplitude vector has shape {part.shape}, expected ({self.space.dim},)")
+        for part in (body, soul):
+            if part.shape != (space.dim,):
+                raise ValueError(f"amplitude vector has shape {part.shape}, expected ({space.dim},)")
             if not np.all(np.isfinite(part.real) & np.isfinite(part.imag)):
                 raise ValueError("Grassmann ket amplitudes must be finite")
+        super().__init__(space, body, soul)
 
     def amplitude(self, n: int) -> GrassmannScalar:
         return GrassmannScalar(complex(self.body[n]), complex(self.soul[n]))

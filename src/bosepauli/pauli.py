@@ -21,7 +21,6 @@ operator. Only the public dense constructors import numpy, when called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, NamedTuple
 
 from .fock import FockSpace, anticommutator, commutator
@@ -65,8 +64,7 @@ def verify_functional_equation(l: int, n_max: int) -> float:
     return float(worst)
 
 
-@dataclass(frozen=True)
-class BosonizationParams:
+class BosonizationParams(NamedTuple("BosonizationParams", [("l", int), ("space", FockSpace)])):
     """Exponent ``l >= 1`` together with an even-dimensional space.
 
     The truncation must be even so the retained levels pair completely as
@@ -74,20 +72,17 @@ class BosonizationParams:
     the pseudospin algebra closes in the finite space with zero error.
     """
 
-    l: int
-    space: FockSpace
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.l, int) or self.l < 1:
-            raise ValueError(f"exponent l must be a positive integer, got {self.l!r}")
-        if self.space.dim % 2 != 0:
-            raise ValueError(
-                f"dim={self.space.dim} is odd; the pseudospin algebra only closes on even truncations"
-            )
+    def __new__(cls, l: int, space: FockSpace):
+        if not isinstance(l, int) or l < 1:
+            raise ValueError(f"exponent l must be a positive integer, got {l!r}")
+        if space.dim % 2 != 0:
+            raise ValueError(f"dim={space.dim} is odd; the pseudospin algebra only closes on even truncations")
+        return super().__new__(cls, l, space)
 
 
-@dataclass(frozen=True)
-class PauliSet:
+class PauliSet(NamedTuple):
     """The five pseudospin operators assembled from one ``sigma_-``, either as
     dense matrices or as one 2x2 pair block."""
 
@@ -237,7 +232,7 @@ def pauli_set(params: BosonizationParams) -> PauliSet:
     """Assemble ``sigma_-``, ``sigma_+ = sigma_-^dag``, ``sigma_1 = sigma_+ + sigma_-``,
     ``sigma_2 = -i(sigma_+ - sigma_-)`` and the diagonal ``sigma_3``."""
     sets = [_pauli_blocks(_Block(*_lowering_block(n, params.l))) for n in range(params.space.dim // 2)]
-    return PauliSet(**{field.name: _direct_sum([getattr(s, field.name) for s in sets]) for field in fields(PauliSet)})
+    return PauliSet._make(_direct_sum(blocks) for blocks in zip(*sets))
 
 
 def two_level_restriction(op: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ mask. Nothing here imports numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .fock import FockSpace
 
@@ -29,8 +29,7 @@ _RESCALE_EXPONENT = 256  # the recurrence is divided by 2^256 whenever it passes
 _RESCALE_AT = 2.0**_RESCALE_EXPONENT
 
 
-@dataclass(frozen=True)
-class QuadratureGrid:
+class QuadratureGrid(NamedTuple):
     """Gauss-Laguerre rule in ``t = r^2`` crossed with uniform angles.
 
     Realizes ``(1/pi) * integral d^2z`` as ``(1/M) sum_j sum_k w_k`` applied

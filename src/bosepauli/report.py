@@ -3,17 +3,17 @@ sweeps behind the command-line subcommands, and the ``dump`` writers.
 
 None of them imports numpy: a dump is the nonzero ``(row, col, value)``
 entries of the operator's pair blocks, never a dense matrix. Reports are
-written by a small formatter for their fixed shape (dicts, lists and scalars),
-token for token as ``json.dumps(payload, indent=2)`` writes them, without the
-pure-Python ``json`` encoder.
+written from one template per record, token for token as
+``json.dumps(payload, indent=2)`` writes them, without the pure-Python
+``json`` encoder.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 from ._version import __version__
 from .fock import FockSpace
@@ -57,24 +57,7 @@ def _token(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _json(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for dicts with string keys, lists and
-    scalars, when ``value`` starts at depth ``indent``."""
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        return "{\n" + ",\n".join(f"{inner}{_token(k)}: {_json(v, inner)}" for k, v in value.items()) + f"\n{indent}}}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        return "[\n" + ",\n".join(inner + _json(v, inner) for v in value) + f"\n{indent}]"
-    return _token(value)
-
-
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verified identity: its residual against a tolerance."""
 
     identity_id: str
@@ -97,6 +80,23 @@ class CheckRecord:
         params = ", ".join(f"{_token(key)}: {_token(value)}" for key, value in sorted(self.params.items()))
         return self.identity_id, "{" + params + "}"
 
+    def _json_block(self) -> str:
+        """The record as an element of a report's ``records``, as
+        ``json.dumps(payload, indent=2)`` writes it; ``params`` holds scalars."""
+        params = ",\n".join(f"        {_token(key)}: {_token(value)}" for key, value in self.params.items())
+        params = "{\n" + params + "\n      }" if params else "{}"
+        return (
+            "    {\n"
+            f'      "identity_id": {_token(self.identity_id)},\n'
+            f'      "paper_eq": {_token(self.equation)},\n'
+            f'      "params": {params},\n'
+            f'      "residual": {_token(self.residual)},\n'
+            f'      "tolerance": {_token(self.tolerance)},\n'
+            f'      "pass": {"true" if self.passed else "false"},\n'
+            f'      "exact_expected": {"true" if self.exact_expected else "false"}\n'
+            "    }"
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "identity_id": self.identity_id,
@@ -109,10 +109,22 @@ class CheckRecord:
         }
 
 
-@dataclass
 class VerificationReport:
-    records: list[CheckRecord] = field(default_factory=list)
-    tool_version: str = __version__
+    """Check records, filled in place, and the version of the tool that made them."""
+
+    def __init__(self, records: list[CheckRecord] | None = None, tool_version: str = __version__):
+        self.records = [] if records is None else records
+        self.tool_version = tool_version
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.records, self.tool_version) == (other.records, other.tool_version)
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"VerificationReport(records={self.records!r}, tool_version={self.tool_version!r})"
 
     def sorted_records(self) -> list[CheckRecord]:
         return sorted(self.records, key=CheckRecord.sort_key)
@@ -126,12 +138,17 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def to_json(self) -> str:
-        payload = {
-            "tool_version": self.tool_version,
-            "records": [r.to_json_dict() for r in self.sorted_records()],
-            "summary": self.summary,
-        }
-        return _json(payload)
+        """``json.dumps(payload, indent=2)`` of the version, the sorted records and the summary."""
+        records = ",\n".join(record._json_block() for record in self.sorted_records())
+        records = "[\n" + records + "\n  ]" if records else "[]"
+        summary = self.summary
+        return (
+            "{\n"
+            f'  "tool_version": {_token(self.tool_version)},\n'
+            f'  "records": {records},\n'
+            f'  "summary": {{\n    "pass": {summary["pass"]},\n    "fail": {summary["fail"]}\n  }}\n'
+            "}"
+        )
 
     def to_csv(self) -> str:
         import csv

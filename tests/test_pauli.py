@@ -463,6 +463,6 @@ def test_entries_are_the_nonzero_entries_of_the_direct_sum_in_row_major_order(bl
 def test_dense_constructors_return_numpy_arrays():
     params = _params(3, 8)
     arrays = [sigma_minus(params), closed_form_sigma_minus(params), sigma_three(params.space)]
-    arrays += [*parity_projectors(params.space), *vars(pauli_set(params)).values()]
+    arrays += [*parity_projectors(params.space), *pauli_set(params)]
     arrays.append(two_level_restriction(arrays[0]))
     assert all(isinstance(a, np.ndarray) and a.dtype == complex for a in arrays)

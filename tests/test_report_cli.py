@@ -12,8 +12,13 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bosepauli import (
+    THETA,
     BosonizationParams,
     FockSpace,
+    GrassmannKet,
+    GrassmannScalar,
+    PauliSet,
+    QuadratureGrid,
     algebra_residuals,
     dagger,
     parity_projectors,
@@ -22,7 +27,7 @@ from bosepauli import (
     sigma_three,
     verify_functional_equation,
 )
-from bosepauli import pauli
+from bosepauli import cli, pauli
 from bosepauli.report import (
     CSV_COLUMNS,
     DUMPABLE_OPERATORS,
@@ -67,6 +72,89 @@ def test_summary_counts_match_records():
     )
     assert report.summary == {"pass": 1, "fail": 1}
     assert not report.all_passed()
+
+
+_KET_PARTS = (np.array([1.0 + 0j, 0j]), np.array([0j, 2.0 + 0j]))  # shared: kets compare arrays by identity
+
+# type -> (fresh value, repr text, hashable, frozen)
+VALUE_TYPES = {
+    FockSpace: (lambda: FockSpace(4), "FockSpace(dim=4)", True, True),
+    BosonizationParams: (
+        lambda: BosonizationParams(3, FockSpace(4)),
+        "BosonizationParams(l=3, space=FockSpace(dim=4))",
+        True,
+        True,
+    ),
+    PauliSet: (
+        lambda: PauliSet(1, 2, 3, 4, 5),
+        "PauliSet(sigma_minus=1, sigma_plus=2, sigma_one=3, sigma_two=4, sigma_three=5)",
+        True,
+        True,
+    ),
+    CheckRecord: (
+        lambda: CheckRecord("x", "(7)", {"dim": 2}, 0.0, 1e-12),
+        "CheckRecord(identity_id='x', equation='(7)', params={'dim': 2}, residual=0.0, tolerance=1e-12)",
+        False,  # params is a dict
+        True,
+    ),
+    VerificationReport: (
+        lambda: VerificationReport([CheckRecord("x", "(7)", {}, 0.0, 0.0)], "9.9"),
+        "VerificationReport(records=[CheckRecord(identity_id='x', equation='(7)', params={}, residual=0.0,"
+        " tolerance=0.0)], tool_version='9.9')",
+        False,
+        False,  # a report is filled in place
+    ),
+    GrassmannScalar: (lambda: GrassmannScalar(1j, 2.0), "GrassmannScalar(body=1j, soul=2.0)", True, True),
+    GrassmannKet: (
+        lambda: GrassmannKet(FockSpace(2), *_KET_PARTS),
+        "GrassmannKet(space=FockSpace(dim=2), body=array([1.+0.j, 0.+0.j]), soul=array([0.+0.j, 2.+0.j]))",
+        False,  # numpy arrays have no hash
+        True,
+    ),
+    QuadratureGrid: (
+        lambda: QuadratureGrid((0.5, 3.5), (-0.1, -2.5), 4),
+        "QuadratureGrid(radial_nodes=(0.5, 3.5), log_weights=(-0.1, -2.5), angular_count=4)",
+        True,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("value_type", VALUE_TYPES, ids=lambda t: t.__name__)
+def test_value_types_compare_hash_and_print_by_value(value_type):
+    make, text, hashable, frozen = VALUE_TYPES[value_type]
+    value, same = make(), make()
+    assert type(value) is value_type
+    assert repr(value) == text
+    assert value == same and not value != same
+    if hashable:
+        assert hash(value) == hash(same)
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    field = text[len(value_type.__name__) + 1 :].split("=", 1)[0]
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(same, field))
+        with pytest.raises(AttributeError):
+            value.unknown_field = 1
+        assert value == same
+    else:  # the report: its records fill in place, from a fresh list each
+        setattr(value, field, [])
+        assert value != same
+        assert VerificationReport().records == [] and VerificationReport().records is not VerificationReport().records
+        records = []
+        assert VerificationReport(records).records is records
+
+
+def test_numpy_scalars_meet_grassmann_scalars_through_their_arithmetic():
+    # not by broadcasting over the two coefficients, as numpy does over a tuple
+    for result, expected in (
+        (np.float64(2.0) * THETA, GrassmannScalar(0j, 2 + 0j)),
+        (THETA * np.complex128(1j), GrassmannScalar(0j, 1j)),
+        (np.complex128(1j) + THETA, GrassmannScalar(1j, 1 + 0j)),
+    ):
+        assert type(result) is GrassmannScalar and result == expected
 
 
 def _reference_sorted(report):
@@ -402,6 +490,56 @@ def test_cli_rejects_non_finite_or_negative_tolerance(command, tol):
     assert f"--tol must be a finite number >= 0, got {float(tol)}" in proc.stderr
 
 
+@pytest.mark.parametrize("command", (("verify", "--dims", "2", "--ls", "1"), ("quadrature", "--dim", "2")))
+def test_cli_range_checks_every_repeated_tolerance(command):
+    proc = _run(*command, "--tol", "1", "--tol", "-1e-3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "--tol must be a finite number >= 0, got -0.001" in proc.stderr
+    proc = _run(*command, "--tol", "-1e-3", "--tol", "1")  # the last one counts
+    assert proc.returncode == 0
+    assert {record["tolerance"] for record in json.loads(proc.stdout)["records"]} == {1.0}
+
+
+def _cli_usage_error(capsys, *argv):
+    with pytest.raises(SystemExit) as exit:
+        cli.main(list(argv))
+    out, err = capsys.readouterr()
+    assert exit.value.code == 2
+    assert out == ""
+    *usage, error = err.splitlines()
+    return usage, error
+
+
+# subcommand -> (arguments its own checks reject, message)
+USAGE_ERRORS = {
+    "verify": (("--dims", "2,3", "--ls", "1"), "--dims entries must be even and >= 2, got 3"),
+    "quadrature": (("--dim", "4", "--radial", "0"), "--radial and --angular must be >= 1"),
+    "grassmann": (("--dims", "2", "--ls", "1,0"), "--ls entries must be positive, got 0"),
+    "dump": (("--op", "p_odd", "--dim", "4", "--l", "0"), "--l must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_cli_usage_errors_name_the_subcommand(command, capsys):
+    args, message = USAGE_ERRORS[command]
+    usage, error = _cli_usage_error(capsys, command, *args)
+    assert error == f"bosepauli {command}: error: {message}"
+    # the usage argparse prints for its own errors in this subcommand
+    assert usage == _cli_usage_error(capsys, command, *args, "--format", "xml")[0]
+    assert usage[0].startswith(f"usage: bosepauli {command} [-h]")
+
+
+def test_cli_library_value_errors_name_the_subcommand(capsys, monkeypatch):
+    def rejects(*args):
+        raise ValueError("radial_count=4: Newton's method did not converge on Laguerre node 2")
+
+    monkeypatch.setattr(cli, "quadrature_suite", rejects)
+    usage, error = _cli_usage_error(capsys, "quadrature", "--dim", "4", "--radial", "4")
+    assert error == "bosepauli quadrature: error: radial_count=4: Newton's method did not converge on Laguerre node 2"
+    assert usage[0].startswith("usage: bosepauli quadrature [-h]")
+
+
 @pytest.mark.parametrize(
     "command, code",
     ((("verify", "--dims", "2,4", "--ls", "1,2"), 0), (("quadrature", "--dim", "2"), 1)),  # quadrature is not exact
@@ -551,6 +689,7 @@ def test_verify_and_help_import_no_numpy(args):
     modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
     assert "bosepauli.cli" in modules
     assert [name for name in modules if name == "numpy" or name.startswith("numpy.")] == []
+    assert [name for name in modules if name in ("dataclasses", "inspect")] == []
 
 
 def test_every_public_name_resolves_and_the_numpy_subcommands_still_run():
