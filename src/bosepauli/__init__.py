@@ -44,7 +44,7 @@ _EXPORTS = {
     "phase_relation_residual": "coherent",
     "QuadratureGrid": "quadrature",
     "quadrature_grid": "quadrature",
-    "RESOLUTION_VARIANTS": "quadrature",
+    "RESOLUTION_VARIANTS": "_choices",
     "resolution_residual": "quadrature",
     "nonlinear_coherent_ket": "coherent",
     "deformed_annihilator": "coherent",

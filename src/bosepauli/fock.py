@@ -6,11 +6,10 @@ retains the number states ``|0> .. |dim-1>`` with a hard cutoff: the raising
 operator maps the top level to the zero vector, so every operator is an
 endomorphism of the same finite space. Matrices compose with the native numpy
 operators (``@``, ``+``, scalar ``*``, ``np.vdot``); only the operations that
-add physics semantics get names here. Those act on the last two axes, so they
-apply unchanged to stacks of blocks of shape ``(..., n, n)``, and
-:func:`commutator`/:func:`anticommutator` to any operands with ``@``. numpy
-is imported by the functions that build arrays, so :class:`FockSpace` loads
-without it.
+add physics semantics get names here. :func:`commutator` and
+:func:`anticommutator` need only ``@``, ``+`` and ``-``, so they take the
+2x2 pair blocks of the identity catalog as well. numpy is imported by the
+functions that build arrays, so :class:`FockSpace` loads without it.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ def number_operator(space: FockSpace) -> np.ndarray:
 
 
 def dagger(op: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix, or of each block of a stack."""
+    """Conjugate transpose of a matrix."""
     return op.conj().swapaxes(-1, -2)
 
 

@@ -128,6 +128,15 @@ class GrassmannKet(_Value):
                 raise ValueError("Grassmann ket amplitudes must be finite")
         super().__init__(space, body, soul)
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        import numpy as np
+
+        return self.space == other.space and np.array_equal(self.body, other.body) and np.array_equal(self.soul, other.soul)
+
+    __hash__ = None  # numpy arrays have no hash
+
     def amplitude(self, n: int) -> GrassmannScalar:
         return GrassmannScalar(complex(self.body[n]), complex(self.soul[n]))
 

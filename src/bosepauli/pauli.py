@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
+from ._choices import DUMPABLE_OPERATORS
 from .fock import FockSpace, anticommutator, commutator
 
 if TYPE_CHECKING:
@@ -132,7 +133,6 @@ _DIAGONAL_BLOCKS = {
     "p_even": _Block(1.0, 0, 0, 0.0),
     "p_odd": _Block(0.0, 0, 0, 1.0),
 }
-DUMPABLE_OPERATORS = ("sigma_minus", "sigma_plus", *_DIAGONAL_BLOCKS)
 
 
 def _lowering_block(n: int, l: int) -> tuple:

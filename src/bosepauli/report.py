@@ -2,31 +2,54 @@
 sweeps behind the command-line subcommands, and the ``dump`` writers.
 
 None of them imports numpy: a dump is the nonzero ``(row, col, value)``
-entries of the operator's pair blocks, never a dense matrix. Reports are
+entries of the operator's pair blocks, never a dense matrix. The domain
+modules (``pauli``, ``grassmann`` and ``quadrature``) load on first use, so
+a subcommand's process loads only those its suite calls. Reports are
 written from one template per record, token for token as
-``json.dumps(payload, indent=2)`` writes them, without the pure-Python
-``json`` encoder.
+``json.dumps(payload, indent=2)`` writes them, without the ``json`` package.
 """
 
 from __future__ import annotations
 
+import importlib
 import io
 import math
-from json.encoder import encode_basestring_ascii
+import sys
+from operator import itemgetter
 from typing import NamedTuple
 
+try:  # the C accelerator that json.encoder wraps, without loading the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
+from ._choices import DUMPABLE_OPERATORS, RESOLUTION_VARIANTS
 from ._version import __version__
 from .fock import FockSpace
-from .grassmann import GrassmannScalar, eigen_check
-from .pauli import (
-    DUMPABLE_OPERATORS,
-    BosonizationParams,
-    _entries,
-    _named_blocks,
-    algebra_residuals,
-    verify_functional_equation,
-)
-from .quadrature import RESOLUTION_VARIANTS, quadrature_grid, resolution_residual
+
+# name -> the domain module it comes from, imported on first use (PEP 562).
+# The suites read these names as attributes of this module, through ``_this``,
+# so that a wrapper set on the module attribute is the one they call.
+_DOMAIN_NAMES = {
+    "BosonizationParams": "pauli",
+    "_entries": "pauli",
+    "_named_blocks": "pauli",
+    "algebra_residuals": "pauli",
+    "verify_functional_equation": "pauli",
+    "GrassmannScalar": "grassmann",
+    "eigen_check": "grassmann",
+    "quadrature_grid": "quadrature",
+    "resolution_residual": "quadrature",
+}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _DOMAIN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_DOMAIN_NAMES[name]}", __package__), name)
+    return value
+
 
 FUNCTIONAL_EQUATION_N_MAX = 1000
 DEFAULT_GRASSMANN_SOUL = 1.0 + 1.0j
@@ -57,6 +80,10 @@ def _token(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def _sort_key(identity_id: str, params: dict[str, str]) -> tuple[str, str]:
+    return identity_id, "{" + ", ".join([params[key] for key in sorted(params)]) + "}"
+
+
 class CheckRecord(NamedTuple):
     """One verified identity: its residual against a tolerance."""
 
@@ -75,17 +102,21 @@ class CheckRecord(NamedTuple):
         # tolerance 0 means the construction owes an exactly-zero residual
         return self.tolerance == 0.0
 
+    def _param_texts(self) -> dict[str, str]:
+        """Each parameter as its ``"key": value`` JSON text, in insertion order."""
+        return {key: f"{_token(key)}: {_token(value)}" for key, value in self.params.items()}
+
     def sort_key(self) -> tuple[str, str]:
         """``(identity_id, json.dumps(params, sort_keys=True))``, the order of a report's records."""
-        params = ", ".join(f"{_token(key)}: {_token(value)}" for key, value in sorted(self.params.items()))
-        return self.identity_id, "{" + params + "}"
+        return _sort_key(self.identity_id, self._param_texts())
 
-    def _json_block(self) -> str:
-        """The record as an element of a report's ``records``, as
-        ``json.dumps(payload, indent=2)`` writes it; ``params`` holds scalars."""
-        params = ",\n".join(f"        {_token(key)}: {_token(value)}" for key, value in self.params.items())
-        params = "{\n" + params + "\n      }" if params else "{}"
-        return (
+    def _keyed_json_block(self) -> tuple[tuple[str, str], str]:
+        """The record's :meth:`sort_key` and the record as an element of a
+        report's ``records``, as ``json.dumps(payload, indent=2)`` writes it,
+        from one formatting of ``params``, which holds scalars."""
+        texts = self._param_texts()
+        params = "{\n        " + ",\n        ".join(texts.values()) + "\n      }" if texts else "{}"
+        return _sort_key(self.identity_id, texts), (
             "    {\n"
             f'      "identity_id": {_token(self.identity_id)},\n'
             f'      "paper_eq": {_token(self.equation)},\n'
@@ -139,7 +170,8 @@ class VerificationReport:
 
     def to_json(self) -> str:
         """``json.dumps(payload, indent=2)`` of the version, the sorted records and the summary."""
-        records = ",\n".join(record._json_block() for record in self.sorted_records())
+        keyed = sorted([record._keyed_json_block() for record in self.records], key=itemgetter(0))
+        records = ",\n".join([block for _, block in keyed])
         records = "[\n" + records + "\n  ]" if records else "[]"
         summary = self.summary
         return (
@@ -179,12 +211,12 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
     below ``dim/2``."""
     records = []
     for l in ls:
-        residual = verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX)
+        residual = _this.verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX)
         records.append(
             CheckRecord("functional_equation", "(14)", {"l": l, "n_max": FUNCTIONAL_EQUATION_N_MAX}, residual, tolerance)
         )
-    grid = [BosonizationParams(l, FockSpace(dim)) for dim in dims for l in ls]  # rejects each bad (dim, l)
-    catalogs = {l: algebra_residuals(BosonizationParams(l, FockSpace(max(dims)))) for l in {p.l for p in grid}}
+    grid = [_this.BosonizationParams(l, FockSpace(dim)) for dim in dims for l in ls]  # rejects each bad (dim, l)
+    catalogs = {l: _this.algebra_residuals(_this.BosonizationParams(l, FockSpace(max(dims)))) for l in {p.l for p in grid}}
     for params in grid:
         for check in catalogs[params.l]:
             pairs = params.space.dim // 2
@@ -198,11 +230,11 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
 def quadrature_suite(dim: int, radial: int, angular: int, variants: list[str], tolerance: float = 1e-12) -> VerificationReport:
     """Resolution-of-identity records for the requested variants."""
     space = FockSpace(dim)
-    grid = quadrature_grid(radial, angular)
+    grid = _this.quadrature_grid(radial, angular)
     under_resolved = not grid.resolves(dim)
     records = []
     for variant in variants:
-        residual = resolution_residual(space, variant, grid)
+        residual = _this.resolution_residual(space, variant, grid)
         equation = "(23)" if variant.endswith("plain") else "(28)"
         params = {
             "dim": dim,
@@ -218,12 +250,12 @@ def quadrature_suite(dim: int, radial: int, angular: int, variants: list[str], t
 def grassmann_suite(dims: list[int], ls: list[int]) -> VerificationReport:
     """Grassmann eigenvector records (eigenvalue relation and nilpotency) over
     dims x ls, for ``xi = DEFAULT_GRASSMANN_SOUL * theta``."""
-    xi = GrassmannScalar(0j, DEFAULT_GRASSMANN_SOUL)
+    xi = _this.GrassmannScalar(0j, DEFAULT_GRASSMANN_SOUL)
     records = []
     for dim in dims:
         for l in ls:
             params = {"dim": dim, "l": l, "soul_re": xi.soul.real, "soul_im": xi.soul.imag}
-            residual = max(eigen_check(FockSpace(dim), l, xi))
+            residual = max(_this.eigen_check(FockSpace(dim), l, xi))
             records.append(CheckRecord("sigma_minus_grassmann_eigenpair", "(37)-(38)", params, residual, 0.0))
     return VerificationReport(records)
 
@@ -231,7 +263,7 @@ def grassmann_suite(dims: list[int], ls: list[int]) -> VerificationReport:
 def named_operator(name: str, dim: int, l: int) -> list[tuple[int, int, complex]]:
     """Nonzero ``(row, col, value)`` entries, in row-major order, of a dump
     target on an even-dimensional space."""
-    return _entries(_named_blocks(name, BosonizationParams(l, FockSpace(dim))))
+    return _this._entries(_this._named_blocks(name, _this.BosonizationParams(l, FockSpace(dim))))
 
 
 def matrix_to_json(shape: tuple[int, int], entries) -> str:

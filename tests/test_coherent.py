@@ -242,12 +242,32 @@ def test_laguerre_rule_integrates_its_top_moments(k):
             assert abs(moment - 1) <= 1e-13
 
 
+def test_laguerre_rule_against_high_precision_at_a_thousand_nodes():
+    # the largest rule the CLI is tested with; its first, middle and last three nodes
+    nodes, log_weights = quadrature.laguerre_rule(1000)
+    picked = [*range(3), *range(499, 502), *range(997, 1000)]
+    reference = _mpmath_laguerre_rule(1000, [nodes[i] for i in picked])
+    for i, (exact_t, exact_log_weight) in zip(picked, reference):
+        assert abs(nodes[i] - exact_t) <= 1e-12 * exact_t
+        assert abs(log_weights[i] - exact_log_weight) <= 1e-12
+
+
+def test_laguerre_rule_takes_at_most_four_recurrence_passes_per_node(monkeypatch):
+    # the asymptotic starting guesses leave Newton's method one or two steps;
+    # the extrapolating guesses they replaced took 6.5 passes per node here
+    passes = []
+    recurrence = quadrature._laguerre_recurrence
+    monkeypatch.setattr(quadrature, "_laguerre_recurrence", lambda steps, t: passes.append(t) or recurrence(steps, t))
+    quadrature.laguerre_rule(189)
+    assert len(passes) <= 4.0 * 189
+
+
 def test_laguerre_rule_that_fails_raises_naming_radial_count(monkeypatch):
     monkeypatch.setattr(quadrature, "_NEWTON_STEPS", 1)  # no guess lands within one step
     with pytest.raises(ValueError, match="radial_count=16: .*did not converge"):
         quadrature.laguerre_rule(16)
     monkeypatch.undo()
-    monkeypatch.setattr(quadrature, "_node_guess", lambda index, count, nodes: 1.0)  # every node finds one root
+    monkeypatch.setattr(quadrature, "_node_guess", lambda index, count: 1.0)  # every node finds one root
     with pytest.raises(ValueError, match="radial_count=16: .*not above"):
         quadrature_grid(16, 4)
 

@@ -100,6 +100,17 @@ def test_ket_shape_validation():
         GrassmannKet(space, np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
 
 
+def test_kets_compare_their_amplitude_arrays_by_value():
+    def ket(body=1, soul=1j, dim=2):
+        return GrassmannKet(FockSpace(dim), np.array([body] + [0j] * (dim - 1)), np.array([0j] * (dim - 1) + [soul]))
+
+    assert ket() == ket() and not ket() != ket()  # equal, distinct arrays
+    assert ket() != ket(body=2) and ket() != ket(soul=2j) and ket(soul=0j) != ket(soul=0j, dim=4)
+    assert ket() != (ket().space, ket().body, ket().soul)
+    with pytest.raises(TypeError):
+        hash(ket())
+
+
 def test_apply_identity_and_zero():
     space = FockSpace(4)
     ket = GrassmannKet(space, np.ones(4, dtype=complex), np.full(4, 1j))

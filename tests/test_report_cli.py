@@ -74,8 +74,6 @@ def test_summary_counts_match_records():
     assert not report.all_passed()
 
 
-_KET_PARTS = (np.array([1.0 + 0j, 0j]), np.array([0j, 2.0 + 0j]))  # shared: kets compare arrays by identity
-
 # type -> (fresh value, repr text, hashable, frozen)
 VALUE_TYPES = {
     FockSpace: (lambda: FockSpace(4), "FockSpace(dim=4)", True, True),
@@ -106,7 +104,7 @@ VALUE_TYPES = {
     ),
     GrassmannScalar: (lambda: GrassmannScalar(1j, 2.0), "GrassmannScalar(body=1j, soul=2.0)", True, True),
     GrassmannKet: (
-        lambda: GrassmannKet(FockSpace(2), *_KET_PARTS),
+        lambda: GrassmannKet(FockSpace(2), np.array([1.0 + 0j, 0j]), np.array([0j, 2.0 + 0j])),
         "GrassmannKet(space=FockSpace(dim=2), body=array([1.+0.j, 0.+0.j]), soul=array([0.+0.j, 2.+0.j]))",
         False,  # numpy arrays have no hash
         True,
@@ -542,7 +540,8 @@ def test_cli_library_value_errors_name_the_subcommand(capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, code",
-    ((("verify", "--dims", "2,4", "--ls", "1,2"), 0), (("quadrature", "--dim", "2"), 1)),  # quadrature is not exact
+    # a one-node rule does not resolve dim 4, so its quadrature residuals are not 0
+    ((("verify", "--dims", "2,4", "--ls", "1,2"), 0), (("quadrature", "--dim", "4", "--radial", "1"), 1)),
 )
 def test_cli_prints_negative_zero_tolerance_unsigned(command, code):
     proc = _run(*command, "--tol", "-0.0")
@@ -690,6 +689,46 @@ def test_verify_and_help_import_no_numpy(args):
     assert "bosepauli.cli" in modules
     assert [name for name in modules if name == "numpy" or name.startswith("numpy.")] == []
     assert [name for name in modules if name in ("dataclasses", "inspect")] == []
+
+
+_DOMAIN = ("bosepauli.pauli", "bosepauli.grassmann", "bosepauli.quadrature")
+# argv (each also a NUMPY_FREE_RUNS argv) -> (the domain modules its process
+# loads, the modules it must not load)
+LOADED_MODULES = {
+    ("--help",): ((), (*_DOMAIN, "json")),
+    **{args: (_DOMAIN[2:], (*_DOMAIN[:2], "json")) for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
+    ("verify", "--dims", "2,4", "--ls", "1,2"): (_DOMAIN[:1], (*_DOMAIN[1:], "json")),
+    ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): (_DOMAIN[:1], (*_DOMAIN[1:], "json")),
+    ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): (_DOMAIN[:1], (*_DOMAIN[1:], "json")),
+    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): (_DOMAIN[:2], (_DOMAIN[2], "json")),
+}
+
+
+@pytest.mark.parametrize("args", LOADED_MODULES)
+def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
+    # sys.modules at the exit of a real `python -m bosepauli` process, written by
+    # a sitecustomize module on its path; -X importtime does not log every import
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, sys\n"
+        f"atexit.register(lambda: open({str(tmp_path / 'modules.txt')!r}, 'w').write('\\n'.join(sys.modules)))\n"
+    )
+    src = os.path.dirname(os.path.dirname(pauli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == NUMPY_FREE_RUNS[args], proc.stderr
+    modules = set((tmp_path / "modules.txt").read_text().split("\n"))
+    loaded, absent = LOADED_MODULES[args]
+    assert {"bosepauli.cli", "bosepauli.report", *loaded} <= modules
+    assert modules.isdisjoint(absent)
+
+
+def test_choice_tuples_have_one_definition_under_every_name():
+    import bosepauli
+    from bosepauli import _choices, quadrature, report
+
+    assert bosepauli.RESOLUTION_VARIANTS is quadrature.RESOLUTION_VARIANTS is report.RESOLUTION_VARIANTS is _choices.RESOLUTION_VARIANTS
+    assert pauli.DUMPABLE_OPERATORS is report.DUMPABLE_OPERATORS is cli.DUMPABLE_OPERATORS is _choices.DUMPABLE_OPERATORS
+    assert set(DUMPABLE_OPERATORS) == {"sigma_minus", "sigma_plus", *pauli._DIAGONAL_BLOCKS}
 
 
 def test_every_public_name_resolves_and_the_numpy_subcommands_still_run():
