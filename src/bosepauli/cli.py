@@ -150,7 +150,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.format == "csv":
         sys.stdout.write(matrix_to_csv(entries))
     else:
-        print(matrix_to_json((args.dim, args.dim), entries))
+        matrix_to_json((args.dim, args.dim), entries, sys.stdout)
+        sys.stdout.write("\n")
     return 0
 
 

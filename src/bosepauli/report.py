@@ -128,17 +128,6 @@ class CheckRecord(NamedTuple):
             "    }"
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "identity_id": self.identity_id,
-            "paper_eq": self.equation,
-            "params": self.params,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "exact_expected": self.exact_expected,
-        }
-
 
 class VerificationReport:
     """Check records, filled in place, and the version of the tool that made them."""
@@ -266,14 +255,44 @@ def named_operator(name: str, dim: int, l: int) -> list[tuple[int, int, complex]
     return _this._entries(_this._named_blocks(name, _this.BosonizationParams(l, FockSpace(dim))))
 
 
-def matrix_to_json(shape: tuple[int, int], entries) -> str:
-    """``shape`` matrix with the nonzero ``(row, col, value)`` entries, as a JSON
-    array of rows of [re, im] pairs; zeros share one ``[0.0, 0.0]`` token. Adding
-    0.0 prints -0.0 as 0.0, so a dump does not depend on how it was built."""
-    rows = [["[0.0, 0.0]"] * shape[1] for _ in range(shape[0])]
-    for i, j, value in entries:
-        rows[i][j] = f"[{_token(value.real + 0.0)}, {_token(value.imag + 0.0)}]"
-    return "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+def _row_major(shape: tuple[int, int], entries):
+    """``entries``, each checked to lie inside ``shape`` and to follow the one before in row-major order."""
+    last = (-1, -1)
+    for entry in entries:
+        i, j, _ = entry
+        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
+            raise ValueError(f"entry {entry!r} lies outside the {shape[0]}x{shape[1]} matrix")
+        if (i, j) <= last:
+            raise ValueError(f"entry {entry!r} does not follow entry ({last[0]}, {last[1]}) in row-major order")
+        last = i, j
+        yield entry
+
+
+def matrix_to_json(shape: tuple[int, int], entries, out) -> None:
+    """Write the ``shape`` matrix with the nonzero ``(row, col, value)`` entries,
+    strictly increasing in ``(row, col)``, to the text stream ``out`` as a JSON
+    array of rows of [re, im] pairs, in chunks of about 256 KB. Each row is one
+    all-zero row with its entries cut in, so the writer holds about one row and
+    one chunk, never the matrix. Adding 0.0 prints -0.0 as 0.0, so a dump does
+    not depend on how it was built."""
+    rows, cols = shape
+    zero = "[" + ", ".join(["[0.0, 0.0]"] * cols) + "]"  # zero token j is zero[1 + 12 j : 11 + 12 j]
+    entries = _row_major(shape, entries)
+    entry = next(entries, None)
+    chunk, size = ["["], 0
+    for i in range(rows):
+        at = 0
+        while entry is not None and entry[0] == i:
+            _, j, value = entry
+            chunk += (zero[at : 1 + 12 * j], f"[{_token(value.real + 0.0)}, {_token(value.imag + 0.0)}]")
+            at, entry = 11 + 12 * j, next(entries, None)
+        chunk += (zero[at:], ", " if i + 1 < rows else "")
+        size += len(zero)
+        if size >= 1 << 18:
+            out.write("".join(chunk))
+            chunk, size = [], 0
+    chunk.append("]")
+    out.write("".join(chunk))
 
 
 def matrix_to_csv(entries) -> str:

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -160,11 +162,24 @@ def _reference_sorted(report):
     return sorted(report.records, key=lambda r: (r.identity_id, json.dumps(r.params, sort_keys=True)))
 
 
+def _record_json_dict(record):
+    # reference: a record as the dict json.dumps writes into a report
+    return {
+        "identity_id": record.identity_id,
+        "paper_eq": record.equation,
+        "params": record.params,
+        "residual": record.residual,
+        "tolerance": record.tolerance,
+        "pass": record.passed,
+        "exact_expected": record.exact_expected,
+    }
+
+
 def _reference_json(report):
     # reference: the whole payload through json.dumps with indent=2
     payload = {
         "tool_version": report.tool_version,
-        "records": [r.to_json_dict() for r in _reference_sorted(report)],
+        "records": [_record_json_dict(r) for r in _reference_sorted(report)],
         "summary": report.summary,
     }
     return json.dumps(payload, indent=2)
@@ -373,11 +388,35 @@ def test_matrix_csv_signed_entries():
     assert text.splitlines() == ["0,1,1,0", "2,3,-1,0", "4,5,1,0"]
 
 
+def _matrix_json(shape, entries):
+    # the streaming writer's whole output, from an in-memory text stream
+    out = io.StringIO()
+    assert matrix_to_json(shape, entries, out) is None
+    return out.getvalue()
+
+
 def test_matrix_json_matches_whole_matrix_dump():
     # reference: one json.dumps of the nested list of every entry
     op = np.array([[-0.0 - 0.0j, 1.5 - 0.25j, 1e-300j], [-2.0 + 0.0j, 0.1 + 0.2j, -0.0 + 3.0j]])
     whole = json.dumps([[[float(e.real), float(e.imag)] for e in row + 0.0] for row in op])
-    assert matrix_to_json(op.shape, _nonzero_entries(op)) == whole
+    assert _matrix_json(op.shape, _nonzero_entries(op)) == whole
+
+
+# entries -> the message of the ValueError that names the offending entry, in a 2x2 matrix
+BAD_ENTRIES = {
+    "negative index": ([(0, -1, 1 + 0j)], "entry (0, -1, (1+0j)) lies outside the 2x2 matrix"),
+    "out of range": ([(0, 1, 1 + 0j), (0, 2, 2 + 0j)], "entry (0, 2, (2+0j)) lies outside the 2x2 matrix"),
+    "duplicate": ([(0, 1, 1 + 0j), (0, 1, 2 + 0j)], "entry (0, 1, (2+0j)) does not follow entry (0, 1) in row-major order"),
+    "out of order": ([(1, 0, 1 + 0j), (0, 1, 2 + 0j)], "entry (0, 1, (2+0j)) does not follow entry (1, 0) in row-major order"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ENTRIES)
+def test_matrix_json_rejects_entries_outside_the_shape_or_out_of_row_major_order(case):
+    entries, message = BAD_ENTRIES[case]
+    with pytest.raises(ValueError) as error:
+        matrix_to_json((2, 2), entries, io.StringIO())
+    assert str(error.value) == message
 
 
 def _whole_matrix_json(op):
@@ -404,7 +443,7 @@ _SHAPE = st.one_of(
 
 @given(arrays(np.complex128, _SHAPE, elements=_ENTRY))
 def test_matrix_json_matches_whole_matrix_dump_on_sparse_matrices(op):
-    assert matrix_to_json(op.shape, _nonzero_entries(op)) == _whole_matrix_json(op)
+    assert _matrix_json(op.shape, _nonzero_entries(op)) == _whole_matrix_json(op)
 
 
 def _dense_named_operator(name, dim, l):
@@ -418,13 +457,27 @@ def _dense_named_operator(name, dim, l):
     return parity_projectors(space)[0 if name == "p_even" else 1]
 
 
-@pytest.mark.parametrize("l", (1, 2))
-@pytest.mark.parametrize("dim", (2, 6, 64))
+_RECENT_REFERENCES = {}  # (shape, digest of the matrix) -> reference text, for the last two matrices
+
+
+def _recent_whole_matrix_json(op):
+    # the reference, made once for the runs of one operator that share a matrix
+    # (l = 1 and 3, say): at D = 1024 each json.dumps takes over a second
+    key = op.shape, hashlib.sha256(op.tobytes()).digest()
+    if key not in _RECENT_REFERENCES:
+        if len(_RECENT_REFERENCES) == 2:
+            del _RECENT_REFERENCES[next(iter(_RECENT_REFERENCES))]
+        _RECENT_REFERENCES[key] = _whole_matrix_json(op)
+    return _RECENT_REFERENCES[key]
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("dim", (2, 6, 64, 1024))
 @pytest.mark.parametrize("name", DUMPABLE_OPERATORS)
 def test_matrix_json_named_operators_match_whole_matrix_dump(name, dim, l):
     op = _dense_named_operator(name, dim, l)
     assert named_operator(name, dim, l) == _nonzero_entries(op)
-    assert matrix_to_json(op.shape, named_operator(name, dim, l)) == _whole_matrix_json(op)
+    assert _matrix_json(op.shape, named_operator(name, dim, l)) == _recent_whole_matrix_json(op)
 
 
 def _dense_matrix_csv(op):
@@ -448,7 +501,7 @@ def test_matrix_csv_matches_the_dense_scan_on_sparse_matrices(op):
 
 
 def test_matrix_json_shape():
-    rows = json.loads(matrix_to_json((4, 4), named_operator("sigma_three", 4, 2)))
+    rows = json.loads(_matrix_json((4, 4), named_operator("sigma_three", 4, 2)))
     assert rows == [
         [[-1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
         [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
@@ -558,21 +611,37 @@ def test_cli_prints_negative_zero_tolerance_unsigned(command, code):
     "args",
     (
         ("grassmann", "--dims", "2", "--ls", "1"),  # fits the stdout buffer: fails at the final flush
-        ("dump", "--op", "sigma_minus", "--dim", "256"),  # ~0.8 MB: fails inside print
+        ("dump", "--op", "sigma_minus", "--dim", "256"),  # ~0.8 MB: fails inside the first chunk written
+        ("dump", "--op", "sigma_minus", "--dim", "1024"),  # 12.6 MB in ~48 chunks: fails at the first
     ),
 )
 def test_cli_quits_quietly_when_stdout_closes_early(args):
-    read_end, write_end = os.pipe()
-    os.close(read_end)  # closed before the child writes anything
     buffered = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "bosepauli", *args], stdout=write_end, stderr=subprocess.PIPE, env=buffered
+    # unbuffered, stdout.buffer is the raw file, so each write reaches the closed pipe at once
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes anything
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bosepauli", *args], stdout=write_end, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
+
+
+def test_cli_dump_quits_quietly_when_the_reader_stops_mid_stream():
+    args = ("dump", "--op", "sigma_minus", "--dim", "1024")
+    buffered = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bosepauli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
         )
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 141
-    assert proc.stderr == b""
+        assert proc.stdout.read(1 << 20).startswith(b"[[[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]")
+        proc.stdout.close()  # after the first MB of the dump's 12.6
+        assert proc.stderr.read() == b""
+        assert proc.wait() == 141
 
 
 def test_cli_verify_rejects_empty_exponent_list():
@@ -620,6 +689,19 @@ def test_cli_dump_json_sigma_three():
     assert proc.returncode == 0
     rows = json.loads(proc.stdout)
     assert [rows[i][i] for i in range(4)] == [[-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize("op", ("sigma_minus", "p_even"))
+def test_cli_dump_in_process_writes_what_the_process_writes(op):
+    # the way a caller that captures stdout in memory drives the command line
+    args = ("dump", "--op", op, "--dim", "64")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(args)) == 0
+    proc = _run(*args)
+    assert proc.returncode == 0
+    assert out.getvalue() == proc.stdout
+    assert len(json.loads(out.getvalue())) == 64
 
 
 def test_cli_dump_rejects_unknown_operator():
@@ -746,6 +828,47 @@ def test_every_public_name_resolves_and_the_numpy_subcommands_still_run():
         proc = _run_from_source_tree("-m", "bosepauli", *args)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)
+
+
+# runs `python -m bosepauli` with the given argv, then writes the process's
+# own peak resident set (VmHWM) to stderr as it exits
+_PEAK_RSS_LAUNCHER = """
+import atexit, runpy, sys
+
+def peak():
+    with open("/proc/self/status") as status:
+        sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+
+atexit.register(peak)
+runpy.run_module("bosepauli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from procfs")
+def test_cli_dense_json_dump_streams_in_constant_memory():
+    dim, row = 4096, 12 * 4096  # every row holds dim 12-byte tokens, ", " between them and brackets around
+    args = ("dump", "--op", "sigma_minus", "--dim", str(dim), "--format", "json")
+    src = os.path.dirname(os.path.dirname(pauli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _PEAK_RSS_LAUNCHER, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    head, tail, size = b"", b"", 0
+    while chunk := proc.stdout.read(1 << 20):
+        head = head or chunk[:4096]
+        tail = (tail + chunk)[-4096:]
+        size += len(chunk)
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 0, err
+    assert size == dim * row + 2 * (dim - 1) + 2 + 1 == 201_334_785
+    # reference: the first and the last row through json.dumps; l=2 makes every sigma_- entry 1
+    def reference_row(i):
+        return json.dumps([[1.0 if i % 2 == 0 and j == i + 1 else 0.0, 0.0] for j in range(dim)])
+
+    assert head.decode() == ("[" + reference_row(0))[:4096]
+    assert tail.decode() == (reference_row(dim - 1) + "]\n")[-4096:]
+    (peak,) = [line for line in err.splitlines() if line.startswith("VmHWM:")]
+    assert int(peak.split()[1]) < 64 * 1024, peak  # kB; a writer that builds the whole text peaks near 540 MB
 
 
 def test_cli_dump_and_grassmann_run_at_sizes_no_dense_matrix_fits():
