@@ -6,14 +6,16 @@ Subcommands: ``verify`` (identity catalog and functional equation sweeps),
 (default) or CSV. Exit status: 0 when every record passes, 1 on any failing
 record, 2 on usage errors, including parameters the library rejects with a
 ``ValueError``, and 141 when the reader closes stdout before the report is out.
+A well-formed argv is parsed from the option table without argparse, which
+loads only to print ``--help`` and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+import types
 
 from .report import (
     DUMPABLE_OPERATORS,
@@ -30,52 +32,88 @@ from .report import (
 
 def _int_list(text: str) -> list[int]:
     items = [piece.strip() for piece in text.split(",")]
-    if not any(items):
-        raise argparse.ArgumentTypeError("expected a comma-separated list of integers")
     try:
-        return [int(piece) for piece in items if piece]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+        if any(items):
+            return [int(piece) for piece in items if piece]
+        message = "expected a comma-separated list of integers"
+    except ValueError:
+        message = f"bad integer list {text!r}"
+    import argparse  # only a malformed list needs it, and argparse then reports it
+    raise argparse.ArgumentTypeError(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FORMAT = {"choices": ("json", "csv"), "default": "json"}
+# subcommand -> (its help, {option: the keyword arguments of its add_argument}), read by both parsers
+_COMMANDS = {
+    "verify": ("run the identity catalog and functional equation sweeps", {
+        "dims": {"type": _int_list, "required": True, "help": "comma-separated even truncation dimensions"},
+        "ls": {"type": _int_list, "required": True, "help": "comma-separated positive exponents"},
+        "tol": {"type": float, "default": 0.0, "help": "residual tolerance (default 0: exact)"},
+        "format": _FORMAT}),
+    "quadrature": ("certify the cat-state resolutions of identity", {
+        "dim": {"type": int, "required": True, "help": "even truncation dimension"},
+        "radial": {"type": int, "default": 16, "help": "Gauss-Laguerre node count K"},
+        "angular": {"type": int, "default": 64, "help": "uniform angle count M"},
+        "variants": {"default": "all", "help": "comma-separated subset of %s, or 'all'" % ",".join(RESOLUTION_VARIANTS)},
+        "tol": {"type": float, "default": 1e-12},
+        "format": _FORMAT}),
+    "grassmann": ("check the Grassmann-eigenvalue eigenvectors of sigma_-", {
+        "dims": {"type": _int_list, "required": True}, "ls": {"type": _int_list, "required": True}, "format": _FORMAT}),
+    "dump": ("print one operator matrix", {
+        "op": {"required": True, "choices": DUMPABLE_OPERATORS},
+        "dim": {"type": int, "required": True},
+        "l": {"type": int, "default": 2, "help": "representation exponent (sign pattern depends on parity)"},
+        "format": _FORMAT}),
+}
+
+
+def _build_parser():
+    """The argparse parser, built only for ``--help`` and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bosepauli",
         description="Certify the oscillator realizations of the Pauli operators on truncated Fock spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    verify = sub.add_parser("verify", help="run the identity catalog and functional equation sweeps")
-    verify.add_argument("--dims", type=_int_list, required=True, help="comma-separated even truncation dimensions")
-    verify.add_argument("--ls", type=_int_list, required=True, help="comma-separated positive exponents")
-    verify.add_argument("--tol", type=float, default=0.0, help="residual tolerance (default 0: exact)")
-    verify.add_argument("--format", choices=("json", "csv"), default="json")
-
-    quad = sub.add_parser("quadrature", help="certify the cat-state resolutions of identity")
-    quad.add_argument("--dim", type=int, required=True, help="even truncation dimension")
-    quad.add_argument("--radial", type=int, default=16, help="Gauss-Laguerre node count K")
-    quad.add_argument("--angular", type=int, default=64, help="uniform angle count M")
-    quad.add_argument(
-        "--variants",
-        default="all",
-        help="comma-separated subset of %s, or 'all'" % ",".join(RESOLUTION_VARIANTS),
-    )
-    quad.add_argument("--tol", type=float, default=1e-12)
-    quad.add_argument("--format", choices=("json", "csv"), default="json")
-
-    grass = sub.add_parser("grassmann", help="check the Grassmann-eigenvalue eigenvectors of sigma_-")
-    grass.add_argument("--dims", type=_int_list, required=True)
-    grass.add_argument("--ls", type=_int_list, required=True)
-    grass.add_argument("--format", choices=("json", "csv"), default="json")
-
-    dump = sub.add_parser("dump", help="print one operator matrix")
-    dump.add_argument("--op", required=True, choices=DUMPABLE_OPERATORS)
-    dump.add_argument("--dim", type=int, required=True)
-    dump.add_argument("--l", type=int, default=2, help="representation exponent (sign pattern depends on parity)")
-    dump.add_argument("--format", choices=("json", "csv"), default="json")
-    for subparser in sub.choices.values():  # checks after parsing report as the subcommand's own errors do
-        subparser.set_defaults(usage_error=subparser.error)
+    for command, (summary, options) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=summary)
+        for dest, keywords in options.items():
+            subparser.add_argument("--" + dest, **keywords)
+        subparser.set_defaults(usage_error=subparser.error)  # checks after parsing report as the subcommand's own errors do
     return parser
+
+
+def _parse_well_formed(argv: list[str]):
+    """What argparse parses from ``argv`` when it is a subcommand followed by
+    its options, each spelled in full, given once and with a value its type
+    and choices accept; ``None`` otherwise, and argparse reads ``argv``."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options, given, tokens = _COMMANDS[argv[0]][1], {}, iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if name[:2] != "--" or name[2:] not in options or name[2:] in given:
+            return None
+        value = value if eq else next(tokens, None)
+        # argparse takes a separate value that starts with "-" for an option or
+        # a negative number, and drops a value of "--"
+        if value is None or value == "--" or not eq and value.startswith("-"):
+            return None
+        option = options[name[2:]]
+        try:
+            value = option.get("type", str)(value)
+        except Exception:  # argparse converts the value again and reports the failure
+            return None
+        if "choices" in option and value not in option["choices"]:
+            return None
+        given[name[2:]] = value
+    if any(option.get("required") and dest not in given for dest, option in options.items()):
+        return None
+    defaults = {dest: option.get("default") for dest, option in options.items()}
+    # checks after parsing report through the subcommand's argparse parser, built only then
+    usage_error = lambda message: _build_parser().parse_args(argv).usage_error(message)  # noqa: E731
+    return types.SimpleNamespace(command=argv[0], **{**defaults, **given}, usage_error=usage_error)
 
 
 def _check_dims(usage_error, dims: list[int]) -> None:
@@ -99,17 +137,16 @@ def _emit(report: VerificationReport, fmt: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     at = 0
     while at < len(argv) - 1:  # each --tol VALUE as --tol=VALUE: argparse takes a VALUE like -1e-3 or -inf for an option
         if argv[at] == "--tol":
             argv[at : at + 2] = ["--tol=" + argv[at + 1]]
         at += 1
-    args = parser.parse_args(argv)
+    args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
     if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # false for NaN too
         args.usage_error(f"--tol must be a finite number >= 0, got {args.tol}")
-    if "tol" in args:
+    if hasattr(args, "tol"):
         args.tol += 0.0  # -0.0 passes the range check; reports print it unsigned
     try:
         return _dispatch(args)
@@ -117,7 +154,7 @@ def main(argv=None) -> int:
         args.usage_error(str(exc))
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args) -> int:
     error = args.usage_error
     if args.command == "verify":
         _check_dims(error, args.dims)

@@ -48,21 +48,18 @@ def f_coefficient(n: int, l: int) -> float:
 def verify_functional_equation(l: int, n_max: int) -> float:
     """Largest deviation of ``(n+1) f^2(n) + n f^2(n-1) - 1`` for ``n <= n_max``.
 
-    Includes the ``n = 0`` boundary term ``|f^2(0) - 1|``. Every term is an
-    exact Python-integer numerator over the common denominator ``n(n+1)``, both
-    kept below ``2**53`` (a larger ``n_max`` is rejected): true division rounds
-    each exact rational once, so the maximum is exactly ``0.0`` when the
-    recurrence holds.
+    Includes the ``n = 0`` boundary term ``|f^2(0) - 1|``. With the integer
+    ``c_n = (n+1) f^2(n)``, which depends on ``n mod 4`` alone, term ``n`` is
+    ``n(n+1)(c_n + c_(n-1) - 1) / (n(n+1))``: exactly the integer
+    ``c_n + c_(n-1) - 1``, repeating from ``n = 5`` on, so the maximum is
+    exactly ``0.0`` when the recurrence holds. ``n_max`` must keep every
+    numerator below ``2**53``.
     """
-    table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n = (n+1) f^2(n) by n mod 4
+    table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n by n mod 4
     if n_max < 0 or n_max * (n_max + 1) * (2 * max(map(abs, table)) + 1) >= 2**53:
         raise ValueError(f"n_max={n_max} must be >= 0 and keep every numerator below 2**53")
-    worst = abs(table[0] - 1)
-    for n in range(1, n_max + 1):
-        den = n * (n + 1)
-        num = (n + 1) * n * table[n % 4] + n * (n + 1) * table[(n - 1) % 4] - den
-        worst = max(worst, abs(num) / den)
-    return float(worst)
+    sums = [table[0]] + [table[n % 4] + table[n - 1] for n in range(1, min(n_max, 4) + 1)]  # c_n + c_(n-1), c_(-1) = 0
+    return float(max(abs(c - 1) for c in sums))
 
 
 class BosonizationParams(NamedTuple("BosonizationParams", [("l", int), ("space", FockSpace)])):

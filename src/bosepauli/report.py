@@ -80,8 +80,8 @@ def _token(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _sort_key(identity_id: str, params: dict[str, str]) -> tuple[str, str]:
-    return identity_id, "{" + ", ".join([params[key] for key in sorted(params)]) + "}"
+def _sorted_params(texts: dict[str, str]) -> str:
+    return "{" + ", ".join([texts[key] for key in sorted(texts)]) + "}"
 
 
 class CheckRecord(NamedTuple):
@@ -108,25 +108,14 @@ class CheckRecord(NamedTuple):
 
     def sort_key(self) -> tuple[str, str]:
         """``(identity_id, json.dumps(params, sort_keys=True))``, the order of a report's records."""
-        return _sort_key(self.identity_id, self._param_texts())
+        return self.identity_id, _sorted_params(self._param_texts())
 
-    def _keyed_json_block(self) -> tuple[tuple[str, str], str]:
-        """The record's :meth:`sort_key` and the record as an element of a
-        report's ``records``, as ``json.dumps(payload, indent=2)`` writes it,
+    def _params_json(self) -> tuple[str, str]:
+        """The params half of :meth:`sort_key`, and ``params`` as
+        ``json.dumps(payload, indent=2)`` writes it inside a report's records,
         from one formatting of ``params``, which holds scalars."""
         texts = self._param_texts()
-        params = "{\n        " + ",\n        ".join(texts.values()) + "\n      }" if texts else "{}"
-        return _sort_key(self.identity_id, texts), (
-            "    {\n"
-            f'      "identity_id": {_token(self.identity_id)},\n'
-            f'      "paper_eq": {_token(self.equation)},\n'
-            f'      "params": {params},\n'
-            f'      "residual": {_token(self.residual)},\n'
-            f'      "tolerance": {_token(self.tolerance)},\n'
-            f'      "pass": {"true" if self.passed else "false"},\n'
-            f'      "exact_expected": {"true" if self.exact_expected else "false"}\n'
-            "    }"
-        )
+        return _sorted_params(texts), "{\n        " + ",\n        ".join(texts.values()) + "\n      }" if texts else "{}"
 
 
 class VerificationReport:
@@ -158,8 +147,28 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def to_json(self) -> str:
-        """``json.dumps(payload, indent=2)`` of the version, the sorted records and the summary."""
-        keyed = sorted([record._keyed_json_block() for record in self.records], key=itemgetter(0))
+        """``json.dumps(payload, indent=2)`` of the version, the sorted records and the summary.
+
+        Each record's head (identity, equation), params and tail (residual,
+        tolerance, flags) is formatted once per distinct set of objects, keyed
+        by ``id``: the records hold them alive, and one object prints one way,
+        where equal values such as ``0``, ``-0.0`` and ``False`` do not."""
+        heads, params_texts, tails, keyed = {}, {}, {}, []
+        for record in self.records:
+            identity_id, equation, params, residual, tolerance = record
+            head = heads.get(key := (id(identity_id), id(equation))) or heads.setdefault(
+                key, f'    {{\n      "identity_id": {_token(identity_id)},\n      "paper_eq": {_token(equation)},\n      "params": '
+            )
+            key = (*map(id, params), *map(id, params.values()))
+            texts = params_texts.get(key) or params_texts.setdefault(key, record._params_json())
+            tail = tails.get(key := (id(residual), id(tolerance))) or tails.setdefault(
+                key,
+                f',\n      "residual": {_token(residual)},\n      "tolerance": {_token(tolerance)},\n'
+                f'      "pass": {"true" if record.passed else "false"},\n'
+                f'      "exact_expected": {"true" if record.exact_expected else "false"}\n    }}',
+            )
+            keyed.append(((identity_id, texts[0]), head + texts[1] + tail))
+        keyed.sort(key=itemgetter(0))
         records = ",\n".join([block for _, block in keyed])
         records = "[\n" + records + "\n  ]" if records else "[]"
         summary = self.summary
@@ -197,7 +206,7 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
     """Functional-equation and identity-catalog records over dims x ls. One
     catalog per exponent, at the largest dim: block ``n`` does not depend on
     ``dim``, so a dim's residual is the worst of the block classes that start
-    below ``dim/2``."""
+    below ``dim/2``: a prefix of them, as they start in ascending order."""
     records = []
     for l in ls:
         residual = _this.verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX)
@@ -207,9 +216,10 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
     grid = [_this.BosonizationParams(l, FockSpace(dim)) for dim in dims for l in ls]  # rejects each bad (dim, l)
     catalogs = {l: _this.algebra_residuals(_this.BosonizationParams(l, FockSpace(max(dims)))) for l in {p.l for p in grid}}
     for params in grid:
-        for check in catalogs[params.l]:
-            pairs = params.space.dim // 2
-            residual = max(r for r, first in zip(check.class_residuals, check.first_blocks) if first < pairs)
+        catalog = catalogs[params.l]
+        below = sum(first < params.space.dim // 2 for first in catalog[0].first_blocks)
+        for check in catalog:
+            residual = max(check.class_residuals[:below])
             records.append(
                 CheckRecord(check.identity, check.equation, {"dim": params.space.dim, "l": params.l}, residual, tolerance)
             )

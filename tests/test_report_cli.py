@@ -223,6 +223,15 @@ def test_report_writers_match_json_dumps_and_csv_writer(records, version):
     assert report.to_csv() == _reference_csv(report)
 
 
+def test_report_json_prints_equal_values_of_other_types_or_signs_apart():
+    # 0 == False == 0.0 == -0.0 and 1 == True == 1.0, so text shared between
+    # records by the value of their params or residuals would print one for another
+    values = (0, False, 0.0, -0.0, 1, True, 1.0)
+    records = [CheckRecord("x", "(7)", {"v": v, "dim": 4}, r, 0.0) for v in values for r in (0.0, -0.0, 0, False, 1e-9)]
+    report = VerificationReport(records)
+    assert report.to_json() == _reference_json(report)
+
+
 @pytest.mark.parametrize("dims, ls", (([2, 4, 8, 16, 32, 64, 128, 256], [1, 2, 3, 4, 5, 6]), ([512], [11, 4])))
 def test_report_writers_match_json_dumps_and_csv_writer_on_verify_sweeps(dims, ls):
     report = algebra_suite(dims, ls)
@@ -738,6 +747,92 @@ def test_cli_verify_certifies_a_million_level_truncation():
     assert '"residual": 0.0,' in proc.stdout
 
 
+# token grammar for argv: the subcommands and their required options, then
+# options of any subcommand, each spelled in full, abbreviated or with "=",
+# with a value valid for it or one of the invalid, negative and empty ones,
+# repeats, help and junk, in any order
+_GOOD_VALUES = {
+    "dims": ["2", "2,4", " 4,8 "], "ls": ["1", "3,12"], "tol": ["0", "1e-12", "-0.0", "-1e-3", "nan", "inf"],
+    "format": ["json", "csv"], "dim": ["2", "16"], "radial": ["8"], "angular": ["16"], "l": ["3"],
+    "variants": ["all", "even-plain,odd-phased", "sideways"], "op": ["sigma_minus", "p_odd"], "help": [""],
+}
+_BAD_VALUES = ["", "0", "-2", "x", "xml", "2,,4", "1.5", "-", "--", "-h", "--ls", "\u0663"]
+
+
+def _option(name):
+    return st.builds(
+        lambda cut, value, joined: [f"--{name[:cut]}={value}"] if joined else [f"--{name[:cut]}", value],
+        st.sampled_from([99, 99, 99, 99, 1, 2, 3]),
+        st.one_of(st.sampled_from(_GOOD_VALUES[name]), st.sampled_from(_GOOD_VALUES[name]), st.sampled_from(_BAD_VALUES)),
+        st.booleans(),
+    )
+
+
+_REQUIRED = {"verify": ("dims", "ls"), "quadrature": ("dim",), "grassmann": ("dims", "ls"), "dump": ("op", "dim")}
+
+
+def _argv(command):
+    required = st.tuples(*[_option(name) for name in _REQUIRED.get(command, ())])
+    extra = st.one_of(st.sampled_from(list(_GOOD_VALUES)).flatmap(_option), st.sampled_from([["-h"], ["--"], ["junk"], ["--tol"]]))
+    groups = st.builds(lambda required, extra: [*required, *extra], required, st.lists(extra, max_size=3))
+    return groups.flatmap(st.permutations).map(lambda groups: [command, *[token for group in groups for token in group]])
+
+
+_ARGV = st.sampled_from([*_REQUIRED, "verif", "-h"]).flatmap(_argv)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ARGV)
+def test_well_formed_parse_is_what_argparse_parses(argv):
+    fast = cli._parse_well_formed(list(argv))
+    if fast is not None:
+        parsed = cli._build_parser().parse_args(list(argv))
+        # repr tells apart 0.0 and -0.0, 1 and 1.0, and prints NaN equal to itself
+        fast, parsed = ([item for item in sorted(vars(args).items()) if item[0] != "usage_error"] for args in (fast, parsed))
+        assert repr(fast) == repr(parsed)
+
+
+# argv the command line takes, rejects after parsing, or leaves to argparse
+# for help and its own usage errors
+PARSER_CORPUS = (
+    ("verify", "--dims", "2,4,8,16", "--ls", "5,8,1", "--format", "csv"),
+    ("verify", "--dims=2,4", "--ls=1", "--tol=1e-12"),
+    ("verify", "--dims", "2", "--ls", "1", "--tol", "-0.0"),
+    ("quadrature", "--dim", "8", "--radial", "8", "--angular", "32", "--variants", "odd-phased,even-plain"),
+    ("quadrature", "--dim", "16", "--radial", "1", "--angular", "2"),
+    ("grassmann", "--dims", "2,8", "--ls", "3,4", "--format", "csv"),
+    ("dump", "--op", "p_even", "--dim", "8", "--l", "7", "--format", "json"),
+    ("dump", "--op", "sigma_plus", "--dim", "8", "--l", "5", "--format", "csv"),
+    ("--help",),
+    *((command, "--help") for command in USAGE_ERRORS),
+    *((command, *USAGE_ERRORS[command][0]) for command in USAGE_ERRORS),
+    ("verify", "--dims", "2", "--ls", "1", "--tol", "nan"),
+    ("verify", "--dims", "2", "--ls", "1", "--tol", "-1E+2"),
+    ("quadrature", "--dim", "2", "--tol", "1", "--tol", "-1e-3"),
+    ("quadrature", "--dim", "2", "--tol", "-1e-3", "--tol", "1"),
+    ("quadrature", "--dim", "16", "--variants", "sideways"),
+    ("verify", "--dims", "2", "--ls", ""),
+    ("verify", "--di", "2", "--ls", "1"),
+    ("dump", "--op", "hamiltonian", "--dim", "4"),
+    ("dump", "--op", "sigma_minus"),
+    ("grassmann", "--dims", "2", "--ls", "1", "stray"),
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS)
+def test_cli_writes_the_same_bytes_whichever_parser_reads_the_argv(argv, capsys, monkeypatch):
+    def run():
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exit:
+            code = exit.code
+        return code, *capsys.readouterr()
+
+    fast = run()
+    monkeypatch.setattr(cli, "_parse_well_formed", lambda argv: None)
+    assert run() == fast
+
+
 # ------------------------------------------------------------ import guard
 
 
@@ -760,6 +855,7 @@ NUMPY_FREE_RUNS = {
     ("dump", "--op", "sigma_minus", "--dim", "1024", "--l", "3", "--format", "json"): 0,
     ("dump", "--op", "sigma_plus", "--dim", "1024", "--l", "5", "--format", "csv"): 0,
     ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): 0,
+    **{(command, *USAGE_ERRORS[command][0]): 2 for command in USAGE_ERRORS},
 }
 
 
@@ -774,15 +870,19 @@ def test_verify_and_help_import_no_numpy(args):
 
 
 _DOMAIN = ("bosepauli.pauli", "bosepauli.grassmann", "bosepauli.quadrature")
-# argv (each also a NUMPY_FREE_RUNS argv) -> (the domain modules its process
-# loads, the modules it must not load)
+# argparse and what it imports, loaded only for help and usage errors
+_ARGPARSE = ("argparse", "gettext", "locale")
+# argv (each also a NUMPY_FREE_RUNS argv) -> (the modules its process loads
+# beyond cli and report, the modules it must not load)
 LOADED_MODULES = {
-    ("--help",): ((), (*_DOMAIN, "json")),
-    **{args: (_DOMAIN[2:], (*_DOMAIN[:2], "json")) for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
-    ("verify", "--dims", "2,4", "--ls", "1,2"): (_DOMAIN[:1], (*_DOMAIN[1:], "json")),
-    ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): (_DOMAIN[:1], (*_DOMAIN[1:], "json")),
-    ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): (_DOMAIN[:1], (*_DOMAIN[1:], "json")),
-    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): (_DOMAIN[:2], (_DOMAIN[2], "json")),
+    ("--help",): (_ARGPARSE[:1], (*_DOMAIN, "json")),
+    **{args: (_DOMAIN[2:], (*_DOMAIN[:2], "json", *_ARGPARSE)) for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
+    ("verify", "--dims", "2,4", "--ls", "1,2"): (_DOMAIN[:1], (*_DOMAIN[1:], "json", *_ARGPARSE)),
+    ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): (_DOMAIN[:1], (*_DOMAIN[1:], "json", *_ARGPARSE)),
+    ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): (_DOMAIN[:1], (*_DOMAIN[1:], "json", *_ARGPARSE)),
+    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): (_DOMAIN[:2], (_DOMAIN[2], "json", *_ARGPARSE)),
+    # each subcommand's own checks reject these after parsing, before any domain module loads
+    **{(command, *USAGE_ERRORS[command][0]): (_ARGPARSE[:1], (*_DOMAIN, "json")) for command in USAGE_ERRORS},
 }
 
 
