@@ -116,10 +116,10 @@ def _parse_well_formed(argv: list[str]):
     return types.SimpleNamespace(command=argv[0], **{**defaults, **given}, usage_error=usage_error)
 
 
-def _check_dims(usage_error, dims: list[int]) -> None:
+def _check_dims(usage_error, dims: list[int], option: str = "--dims entries") -> None:
     for dim in dims:
         if dim < 2 or dim % 2 != 0:
-            usage_error(f"--dims entries must be even and >= 2, got {dim}")
+            usage_error(f"{option} must be even and >= 2, got {dim}")
 
 
 def _check_ls(usage_error, ls: list[int]) -> None:
@@ -144,6 +144,9 @@ def main(argv=None) -> int:
             argv[at : at + 2] = ["--tol=" + argv[at + 1]]
         at += 1
     args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
+    for dest, value in vars(args).items():
+        if value == []:  # argparse stores a value of "--" (--dim=--) as []; _int_list never returns []
+            args.usage_error(f"argument --{dest}: expected one argument")
     if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # false for NaN too
         args.usage_error(f"--tol must be a finite number >= 0, got {args.tol}")
     if hasattr(args, "tol"):
@@ -162,7 +165,7 @@ def _dispatch(args) -> int:
         return _emit(algebra_suite(args.dims, args.ls, args.tol), args.format)
 
     if args.command == "quadrature":
-        _check_dims(error, [args.dim])
+        _check_dims(error, [args.dim], "--dim")
         if args.radial < 1 or args.angular < 1:
             error("--radial and --angular must be >= 1")
         if args.variants == "all":
@@ -180,7 +183,7 @@ def _dispatch(args) -> int:
         return _emit(grassmann_suite(args.dims, args.ls), args.format)
 
     # dump
-    _check_dims(error, [args.dim])
+    _check_dims(error, [args.dim], "--dim")
     if args.l < 1:
         error(f"--l must be positive, got {args.l}")
     entries = named_operator(args.op, args.dim, args.l)

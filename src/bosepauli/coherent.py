@@ -7,6 +7,10 @@ That normalization is what makes the ``d^2z / pi`` resolutions reproduce the
 parity projectors exactly; renormalizing the cat states would break them.
 The resolutions themselves are certified by :mod:`bosepauli.quadrature`,
 which needs none of these arrays.
+
+The deformed lowering operator ``f(N) a`` has one nonzero diagonal, the band
+``<n| f(N) a |n+1> = f(n) sqrt(n+1)``. The nonlinear kets and both residuals
+are computed on it in O(dim); only :func:`deformed_annihilator` builds a matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 
 import numpy as np
 
-from .fock import FockSpace, annihilator, creator, max_abs_norm
+from .fock import FockSpace, max_abs_norm
 
 _LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 
@@ -88,8 +92,10 @@ def phase_relation_residual(space: FockSpace, z: complex) -> float:
     return max(res_even, res_odd)
 
 
-def _f_values(space: FockSpace, f) -> np.ndarray:
-    """Evaluate a level map given as a callable or a length-dim sequence."""
+def _band(space: FockSpace, f, regular: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The level map ``f(n)``, ``n = 0 .. dim-1``, given as a callable or a
+    length-dim sequence, and the band ``f(n) sqrt(n+1)``, ``n = 0 .. dim-2``;
+    with ``regular``, a zero on the band is a ``ValueError``."""
     if callable(f):
         values = np.array([f(n) for n in range(space.dim)], dtype=complex)
     else:
@@ -98,36 +104,20 @@ def _f_values(space: FockSpace, f) -> np.ndarray:
             raise ValueError(f"expected {space.dim} deformation values, got shape {values.shape}")
     if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
         raise ValueError("deformation values must be finite")
-    return values
-
-
-def _require_regular(values: np.ndarray) -> None:
     zeros = np.flatnonzero(values[:-1] == 0)
-    if zeros.size:
-        raise ValueError(
-            f"f vanishes at level {int(zeros[0])}, below the truncation edge; the deformed ladder is singular"
-        )
+    if regular and zeros.size:
+        raise ValueError(f"f vanishes at level {int(zeros[0])}, below the truncation edge; the deformed ladder is singular")
+    return values, values[:-1] * np.sqrt(np.arange(1, space.dim))
 
 
 def deformed_annihilator(space: FockSpace, f) -> np.ndarray:
-    """Deformed lowering operator ``f(N) a``."""
-    return _f_values(space, f)[:, None] * annihilator(space)
+    """Deformed lowering operator ``f(N) a``, its band on the superdiagonal."""
+    return np.diag(_band(space, f, regular=False)[1], 1)
 
 
-def nonlinear_coherent_ket(space: FockSpace, f, z: complex, normalize: bool = False) -> np.ndarray:
-    """Eigenstate of ``f(N) a`` with eigenvalue ``z``.
-
-    Built by the amplitude recursion ``c_0 = 1``,
-    ``c_(n+1) = z c_n / (f(n) sqrt(n+1))``, which is the expansion of
-    ``exp[z a^dag / f(N-1)] |0>`` and makes the eigenvalue relation hold
-    level by level below the truncation edge. Requires ``f(n) != 0`` for
-    ``n <= dim-2``; with ``normalize`` the result is scaled to unit norm.
-    """
-    values = _f_values(space, f)
-    _require_regular(values)
-    divisors = values[:-1] * np.sqrt(np.arange(1, space.dim))
+def _nonlinear_amplitudes(band: np.ndarray, z: complex, normalize: bool) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
-        amps = _ladder_amplitudes(complex(z), 1.0, divisors)
+        amps = _ladder_amplitudes(complex(z), 1.0, band)
     if not np.all(np.isfinite(amps)):
         raise ValueError(f"the amplitude at level {np.argmin(np.isfinite(amps))} is not finite for z={z}")
     if normalize:
@@ -135,34 +125,44 @@ def nonlinear_coherent_ket(space: FockSpace, f, z: complex, normalize: bool = Fa
     return amps
 
 
+def nonlinear_coherent_ket(space: FockSpace, f, z: complex, normalize: bool = False) -> np.ndarray:
+    """Eigenstate of ``f(N) a`` with eigenvalue ``z``, by the recursion
+    ``c_0 = 1``, ``c_(n+1) = z c_n / (f(n) sqrt(n+1))`` down the band.
+
+    This is the expansion of ``exp[z a^dag / f(N-1)] |0>``; the eigenvalue
+    relation holds level by level below the truncation edge. Requires
+    ``f(n) != 0`` for ``n <= dim-2``; ``normalize`` scales to unit norm.
+    """
+    return _nonlinear_amplitudes(_band(space, f)[1], z, normalize)
+
+
 def nonlinear_eigen_residual(space: FockSpace, f, z: complex, normalize: bool = True) -> float:
-    """Defect of ``f(N) a |z>_f = z |z>_f`` on levels ``0 .. dim-2``.
+    """Defect of ``f(N) a |z>_f = z |z>_f`` on levels ``0 .. dim-2``, where
+    level ``n`` reads ``f(n) sqrt(n+1) c_(n+1) - z c_n``.
 
     The top level is excluded: truncation zeroes the lowered amplitude that
     should balance ``z c_(dim-1)`` there.
     """
-    ket = nonlinear_coherent_ket(space, f, z, normalize=normalize)
-    diff = deformed_annihilator(space, f) @ ket - complex(z) * ket
-    return max_abs_norm(diff[: space.dim - 1])
+    band = _band(space, f)[1]
+    amps = _nonlinear_amplitudes(band, z, normalize)
+    return max_abs_norm(band * amps[1:] - complex(z) * amps[:-1])
 
 
 def ladder_commutator_residual(space: FockSpace, f, margin: int = 1) -> float:
     """Deviation of ``[f(N) a, a^dag / f(N-1)]`` from the identity on levels
     ``0 .. dim-1-margin``.
 
-    ``f(N-1)`` means ``f(n-1)`` on level ``n``; its value at level 0 never
-    multiplies a nonzero raising entry and is fixed to 1. With ``margin = 0``
-    the truncation edge contributes a spurious diagonal defect of size about
-    ``dim`` at the top level, so ``margin = 1`` is the meaningful check.
+    With the band ``L_n = f(n) sqrt(n+1)`` at ``(n, n+1)`` and
+    ``R_n = sqrt(n+1) / f(n)`` at ``(n+1, n)``, the commutator is diagonal:
+    ``L_n R_n - R_(n-1) L_(n-1)`` on level ``n``, a term being 0 where its index
+    leaves ``0 .. dim-2``. With ``margin = 0`` the truncation edge contributes a
+    spurious defect of about ``dim`` at the top level, so ``margin = 1`` is the
+    meaningful check.
     """
     if not 0 <= margin < space.dim:
         raise ValueError(f"margin must lie in 0..{space.dim - 1}, got {margin}")
-    values = _f_values(space, f)
-    _require_regular(values)
-    shifted = np.ones(space.dim, dtype=complex)
-    shifted[1:] = values[:-1]
-    lowering = values[:, None] * annihilator(space)
-    raising = (1.0 / shifted)[:, None] * creator(space)
-    defect = (lowering @ raising - raising @ lowering) - np.eye(space.dim, dtype=complex)
-    keep = space.dim - margin
-    return max_abs_norm(defect[:keep, :keep])
+    values, band = _band(space, f)
+    lowered_raised = np.zeros(space.dim, dtype=complex)  # L_n R_n, and 0 on the top level
+    lowered_raised[:-1] = band * ((1.0 / values[:-1]) * np.sqrt(np.arange(1, space.dim)))
+    defect = lowered_raised - np.roll(lowered_raised, 1) - 1.0
+    return max_abs_norm(defect[: space.dim - margin])

@@ -19,6 +19,8 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
+    from .pauli import _Block
+
 
 class FockSpace(NamedTuple("FockSpace", [("dim", int)])):
     """Truncated Fock space holding the number states ``|0> .. |dim-1>``."""
@@ -59,13 +61,13 @@ def dagger(op: np.ndarray) -> np.ndarray:
     return op.conj().swapaxes(-1, -2)
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b - b @ a``."""
+def commutator(a: np.ndarray | _Block, b: np.ndarray | _Block) -> np.ndarray | _Block:
+    """``a @ b - b @ a``, for two matrices or two pair blocks."""
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b + b @ a``."""
+def anticommutator(a: np.ndarray | _Block, b: np.ndarray | _Block) -> np.ndarray | _Block:
+    """``a @ b + b @ a``, for two matrices or two pair blocks."""
     return a @ b + b @ a
 
 

@@ -580,14 +580,44 @@ USAGE_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("command", USAGE_ERRORS)
-def test_cli_usage_errors_name_the_subcommand(command, capsys):
-    args, message = USAGE_ERRORS[command]
+# test id -> (subcommand, arguments, message): USAGE_ERRORS, and an odd --dim
+# where the subcommand's option is --dim, not --dims
+USAGE_ERROR_CASES = {
+    **{command: (command, *USAGE_ERRORS[command]) for command in USAGE_ERRORS},
+    "quadrature-odd-dim": ("quadrature", ("--dim", "3"), "--dim must be even and >= 2, got 3"),
+    "dump-odd-dim": ("dump", ("--op", "p_odd", "--dim", "3"), "--dim must be even and >= 2, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", USAGE_ERROR_CASES)
+def test_cli_usage_errors_name_the_subcommand(case, capsys):
+    command, args, message = USAGE_ERROR_CASES[case]
     usage, error = _cli_usage_error(capsys, command, *args)
     assert error == f"bosepauli {command}: error: {message}"
     # the usage argparse prints for its own errors in this subcommand
     assert usage == _cli_usage_error(capsys, command, *args, "--format", "xml")[0]
     assert usage[0].startswith(f"usage: bosepauli {command} [-h]")
+
+
+# subcommand -> a well-formed argv for it
+WELL_FORMED = {
+    "verify": ("--dims", "2", "--ls", "1"),
+    "quadrature": ("--dim", "2", "--radial", "4", "--angular", "4"),
+    "grassmann": ("--dims", "2", "--ls", "1"),
+    "dump": ("--op", "p_odd", "--dim", "2"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, option", [(command, option) for command, (_, options) in cli._COMMANDS.items() for option in options]
+)
+def test_cli_rejects_an_option_value_of_double_dash(command, option):
+    # argparse stores --name=-- as [], which crashed some subcommands and let others pass
+    proc = _run(command, *WELL_FORMED[command], f"--{option}=--")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"bosepauli {command}: error: argument --{option}: expected one argument"
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_library_value_errors_name_the_subcommand(capsys, monkeypatch):
@@ -870,19 +900,21 @@ def test_verify_and_help_import_no_numpy(args):
 
 
 _DOMAIN = ("bosepauli.pauli", "bosepauli.grassmann", "bosepauli.quadrature")
+# no subcommand calls the coherent layer
+_NEVER = ("bosepauli.coherent", "json")
 # argparse and what it imports, loaded only for help and usage errors
 _ARGPARSE = ("argparse", "gettext", "locale")
 # argv (each also a NUMPY_FREE_RUNS argv) -> (the modules its process loads
 # beyond cli and report, the modules it must not load)
 LOADED_MODULES = {
-    ("--help",): (_ARGPARSE[:1], (*_DOMAIN, "json")),
-    **{args: (_DOMAIN[2:], (*_DOMAIN[:2], "json", *_ARGPARSE)) for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
-    ("verify", "--dims", "2,4", "--ls", "1,2"): (_DOMAIN[:1], (*_DOMAIN[1:], "json", *_ARGPARSE)),
-    ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): (_DOMAIN[:1], (*_DOMAIN[1:], "json", *_ARGPARSE)),
-    ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): (_DOMAIN[:1], (*_DOMAIN[1:], "json", *_ARGPARSE)),
-    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): (_DOMAIN[:2], (_DOMAIN[2], "json", *_ARGPARSE)),
+    ("--help",): (_ARGPARSE[:1], (*_DOMAIN, *_NEVER)),
+    **{args: (_DOMAIN[2:], (*_DOMAIN[:2], *_NEVER, *_ARGPARSE)) for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
+    ("verify", "--dims", "2,4", "--ls", "1,2"): (_DOMAIN[:1], (*_DOMAIN[1:], *_NEVER, *_ARGPARSE)),
+    ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): (_DOMAIN[:1], (*_DOMAIN[1:], *_NEVER, *_ARGPARSE)),
+    ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): (_DOMAIN[:1], (*_DOMAIN[1:], *_NEVER, *_ARGPARSE)),
+    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): (_DOMAIN[:2], (_DOMAIN[2], *_NEVER, *_ARGPARSE)),
     # each subcommand's own checks reject these after parsing, before any domain module loads
-    **{(command, *USAGE_ERRORS[command][0]): (_ARGPARSE[:1], (*_DOMAIN, "json")) for command in USAGE_ERRORS},
+    **{(command, *USAGE_ERRORS[command][0]): (_ARGPARSE[:1], (*_DOMAIN, *_NEVER)) for command in USAGE_ERRORS},
 }
 
 
