@@ -598,6 +598,21 @@ def test_band_is_bit_equal_to_the_dense_products_for_real_deformations(name, dim
                 assert residuals[0] == residuals[1]
 
 
+def test_ladder_commutator_names_the_level_where_the_raising_ladder_overflows():
+    # R_n = sqrt(n+1) / f(n) is past the double range at n = 3: 1/f(3) overflows
+    # for f(3) = 1e-310, and 1/f(3) = 1.7e308 does for f(3) = 6e-309 once doubled
+    space = FockSpace(8)
+    for tiny in (1e-310, 6e-309):
+        f = [1.0] * 8
+        f[3] = tiny
+        with pytest.raises(ValueError, match=r"level 3\b"):
+            ladder_commutator_residual(space, f)
+    f[3] = 1e-300  # tiny, with a finite raising ladder: the commutator is still the identity
+    for margin in (0, 1):
+        assert ladder_commutator_residual(space, f, margin) == _dense_ladder_commutator_residual(space, f.__getitem__, margin)
+    assert ladder_commutator_residual(space, f) <= 1e-14
+
+
 @pytest.mark.parametrize("dim", BAND_DIMS)
 def test_band_agrees_with_the_dense_products_for_a_complex_deformation(dim):
     space, f, eps = FockSpace(dim), COMPLEX_DEFORMATION, np.finfo(float).eps
