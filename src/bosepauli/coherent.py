@@ -157,12 +157,16 @@ def ladder_commutator_residual(space: FockSpace, f, margin: int = 1) -> float:
     ``L_n R_n - R_(n-1) L_(n-1)`` on level ``n``, a term being 0 where its index
     leaves ``0 .. dim-2``. With ``margin = 0`` the truncation edge contributes a
     spurious defect of about ``dim`` at the top level, so ``margin = 1`` is the
-    meaningful check.
+    meaningful check. An ``R_n`` that overflows is a ``ValueError`` naming ``n``.
     """
     if not 0 <= margin < space.dim:
         raise ValueError(f"margin must lie in 0..{space.dim - 1}, got {margin}")
     values, band = _band(space, f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        raised = (1.0 / values[:-1]) * np.sqrt(np.arange(1, space.dim))  # R_n
+    if not np.all(np.isfinite(raised)):
+        raise ValueError(f"sqrt(n+1) / f(n) overflows at level {np.argmin(np.isfinite(raised))}")
     lowered_raised = np.zeros(space.dim, dtype=complex)  # L_n R_n, and 0 on the top level
-    lowered_raised[:-1] = band * ((1.0 / values[:-1]) * np.sqrt(np.arange(1, space.dim)))
+    lowered_raised[:-1] = band * raised
     defect = lowered_raised - np.roll(lowered_raised, 1) - 1.0
     return max_abs_norm(defect[: space.dim - margin])

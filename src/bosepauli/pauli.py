@@ -10,7 +10,7 @@ parity.
 Every pseudospin operator is thus a direct sum of 2x2 blocks on the level
 pairs ``(|2n>, |2n+1>)``, and for a given ``l`` the blocks of any truncation
 fall into at most two distinct classes. The identity catalog runs once per
-class, on 2x2 matrices of Python ``complex`` with entries in
+class in a process, on 2x2 matrices of Python ``complex`` with entries in
 ``{0, +-1, +-i}``: their products and sums round nowhere, so the catalog is
 exact on every distinct block, and every block of the truncation is one of
 them. That certificate, like the functional equation, needs no numpy, and
@@ -20,6 +20,7 @@ operator. Only the public dense constructors import numpy, when called.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -284,6 +285,12 @@ def _catalog(lowering: _Block) -> list[tuple[str, str, float]]:
     return [(name, eq, residuals[diff if isinstance(diff, str) else name]) for name, eq, diff in checks]
 
 
+@functools.cache
+def _class_catalog(block: tuple) -> tuple[tuple[str, str, float], ...]:
+    """:func:`_catalog` of the pair block with entries ``block``, once per process."""
+    return tuple(_catalog(_Block(*block)))
+
+
 def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     """Residuals for the full pseudospin identity catalog.
 
@@ -295,15 +302,14 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     ``{sigma_-, sigma_3} = 0`` and ``[sigma_-, sigma_3] = 2 sigma_-``, and
     the nilpotency of ``sigma_+-``. All residuals are exactly zero on even
     truncations. Every operator is a direct sum of pair blocks, so the catalog
-    runs once on each distinct block of the truncation (found by building every
-    block) and each check carries the residual of each class with the index of
-    its first block: a smaller even ``dim`` holds the classes that start below
-    ``dim/2``.
+    runs on each distinct block of the truncation (found by building every
+    block), once per process, and each check carries the residual of each
+    class with the index of its first block.
     """
     first_blocks: dict[tuple, int] = {}
     for n in range(params.space.dim // 2):
         first_blocks.setdefault(_lowering_block(n, params.l), n)
-    runs = [_catalog(_Block(*block)) for block in first_blocks]
+    runs = [_class_catalog(block) for block in first_blocks]
     firsts = tuple(first_blocks.values())
     checks = []
     for i, (name, equation, _) in enumerate(runs[0]):

@@ -53,10 +53,17 @@ class QuadratureGrid(NamedTuple):
         """The weights ``w_k = exp(log_weights[k])``; the smallest may underflow to 0."""
         return tuple(math.exp(log_weight) for log_weight in self.log_weights)
 
+    @property
+    def aliasing_stride(self) -> int:
+        """The step ``|a - b|`` of the aliasing mask: ``a = b`` mod ``M`` and mod 2."""
+        return math.lcm(self.angular_count, 2)
+
     def resolves(self, dim: int) -> bool:
-        """True when the rule is exact for the ``dim``-level resolution integrands."""
+        """True when the rule is exact for the ``dim``-level resolution integrands:
+        the mask's radial sums have degree ``(a + b)/2 <= dim - 1``, and the mask
+        holds no entry off the diagonal, where ``|a - b| <= dim - 1``."""
         k = len(self.radial_nodes)
-        return 2 * k - 1 >= dim - 2 and self.angular_count > 2 * (dim - 2)
+        return 2 * k - 1 >= dim - 1 and self.aliasing_stride > dim - 1
 
 
 def _laguerre_recurrence(steps: list[tuple[float, float]], t: float) -> tuple[float, float, float, int]:
@@ -207,8 +214,8 @@ def resolution_residual(space: FockSpace, variant: str, grid: QuadratureGrid) ->
     for n in levels:
         half_log_factorial = 0.5 * math.lgamma(n + 1)
         radial[n] = [math.exp(half_log_weight + n * half_log_t - half_log_factorial) for half_log_weight, half_log_t in halves]
-    # b = a (mod M) and b = a (mod 2): the rest of the mask is off the parity, where Q is 0.
-    stride = math.lcm(grid.angular_count, 2)
+    # the rest of the mask is off the parity, where Q is 0
+    stride = grid.aliasing_stride
     return max(
         abs(math.fsum(map(mul, radial[a], radial[b])) - (a == b)) for a in levels for b in range(a, space.dim, stride)
     )

@@ -80,10 +80,6 @@ def _token(value) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _sorted_params(texts: dict[str, str]) -> str:
-    return "{" + ", ".join([texts[key] for key in sorted(texts)]) + "}"
-
-
 class CheckRecord(NamedTuple):
     """One verified identity: its residual against a tolerance."""
 
@@ -102,20 +98,14 @@ class CheckRecord(NamedTuple):
         # tolerance 0 means the construction owes an exactly-zero residual
         return self.tolerance == 0.0
 
-    def _param_texts(self) -> dict[str, str]:
-        """Each parameter as its ``"key": value`` JSON text, in insertion order."""
-        return {key: f"{_token(key)}: {_token(value)}" for key, value in self.params.items()}
-
-    def sort_key(self) -> tuple[str, str]:
-        """``(identity_id, json.dumps(params, sort_keys=True))``, the order of a report's records."""
-        return self.identity_id, _sorted_params(self._param_texts())
-
     def _params_json(self) -> tuple[str, str]:
-        """The params half of :meth:`sort_key`, and ``params`` as
+        """``params`` as ``json.dumps(params, sort_keys=True)`` writes it, which
+        orders a report's records after ``identity_id``, and as
         ``json.dumps(payload, indent=2)`` writes it inside a report's records,
         from one formatting of ``params``, which holds scalars."""
-        texts = self._param_texts()
-        return _sorted_params(texts), "{\n        " + ",\n        ".join(texts.values()) + "\n      }" if texts else "{}"
+        texts = {key: f"{_token(key)}: {_token(value)}" for key, value in self.params.items()}
+        indented = "{\n        " + ",\n        ".join(texts.values()) + "\n      }" if texts else "{}"
+        return "{" + ", ".join([texts[key] for key in sorted(texts)]) + "}", indented
 
 
 class VerificationReport:
@@ -136,7 +126,7 @@ class VerificationReport:
         return f"VerificationReport(records={self.records!r}, tool_version={self.tool_version!r})"
 
     def sorted_records(self) -> list[CheckRecord]:
-        return sorted(self.records, key=CheckRecord.sort_key)
+        return sorted(self.records, key=lambda record: (record.identity_id, record._params_json()[0]))
 
     @property
     def summary(self) -> dict:
@@ -203,10 +193,8 @@ class VerificationReport:
 
 
 def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> VerificationReport:
-    """Functional-equation and identity-catalog records over dims x ls. One
-    catalog per exponent, at the largest dim: block ``n`` does not depend on
-    ``dim``, so a dim's residual is the worst of the block classes that start
-    below ``dim/2``: a prefix of them, as they start in ascending order."""
+    """Functional-equation and identity-catalog records over dims x ls, each
+    ``(dim, l)`` from its own :func:`~bosepauli.pauli.algebra_residuals`."""
     records = []
     for l in ls:
         residual = _this.verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX)
@@ -214,14 +202,10 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
             CheckRecord("functional_equation", "(14)", {"l": l, "n_max": FUNCTIONAL_EQUATION_N_MAX}, residual, tolerance)
         )
     grid = [_this.BosonizationParams(l, FockSpace(dim)) for dim in dims for l in ls]  # rejects each bad (dim, l)
-    catalogs = {l: _this.algebra_residuals(_this.BosonizationParams(l, FockSpace(max(dims)))) for l in {p.l for p in grid}}
     for params in grid:
-        catalog = catalogs[params.l]
-        below = sum(first < params.space.dim // 2 for first in catalog[0].first_blocks)
-        for check in catalog:
-            residual = max(check.class_residuals[:below])
+        for check in _this.algebra_residuals(params):
             records.append(
-                CheckRecord(check.identity, check.equation, {"dim": params.space.dim, "l": params.l}, residual, tolerance)
+                CheckRecord(check.identity, check.equation, {"dim": params.space.dim, "l": params.l}, check.residual, tolerance)
             )
     return VerificationReport(records)
 
@@ -235,13 +219,7 @@ def quadrature_suite(dim: int, radial: int, angular: int, variants: list[str], t
     for variant in variants:
         residual = _this.resolution_residual(space, variant, grid)
         equation = "(23)" if variant.endswith("plain") else "(28)"
-        params = {
-            "dim": dim,
-            "K": radial,
-            "M": angular,
-            "variant": variant,
-            "under_resolved": under_resolved,
-        }
+        params = {"dim": dim, "K": radial, "M": angular, "variant": variant, "under_resolved": under_resolved}
         records.append(CheckRecord("resolution_of_identity", equation, params, residual, tolerance))
     return VerificationReport(records)
 

@@ -279,6 +279,28 @@ def test_grid_resolution_predicate():
     assert not quadrature_grid(1, 2).resolves(8)
 
 
+def test_grid_resolves_exactly_the_grids_whose_residual_is_at_rounding():
+    # K = dim/2 makes the radial rule exact on the diagonal, so the flag turns on
+    # the angles alone: an entry off the diagonal aliases onto the mask when
+    # lcm(M, 2) <= dim - 2, and its radial sum is then far from 0
+    for dim in range(2, 65, 2):
+        space, base = FockSpace(dim), quadrature_grid(dim // 2, 1)
+        for angular in range(1, 2 * dim + 2):
+            grid = base._replace(angular_count=angular)
+            residual = max(resolution_residual(space, variant, grid) for variant in ("even-plain", "odd-plain"))
+            assert grid.resolves(dim) == (residual <= 1e-12), (dim, angular, residual)
+        if dim >= 4:  # one node too few misses degree dim - 1 at every M
+            coarse = quadrature_grid(dim // 2 - 1, 1)
+            assert not any(coarse._replace(angular_count=m).resolves(dim) for m in range(1, 2 * dim + 2))
+
+
+def test_grid_resolution_turns_on_at_the_aliasing_stride():
+    grid = quadrature_grid(32, 1)
+    assert [m for m in range(1, 129) if grid._replace(angular_count=m).resolves(64)] == [
+        m for m in range(1, 129) if m >= 64 or m % 2 and m >= 33
+    ]
+
+
 @pytest.mark.parametrize("variant", RESOLUTION_VARIANTS)
 def test_resolution_exact_grid(variant):
     residual = resolution_residual(FockSpace(16), variant, quadrature_grid(16, 64))

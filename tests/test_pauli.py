@@ -320,6 +320,7 @@ def test_catalog_runs_once_per_distinct_block_class(monkeypatch, l):
     monkeypatch.setattr(pauli, "_catalog", counting)
     for dim, classes in ((2, 1), (4, 1 if l % 2 == 0 else 2), (4096, 1 if l % 2 == 0 else 2)):
         runs.clear()
+        pauli._class_catalog.cache_clear()
         checks = algebra_residuals(_params(l, dim))
         assert len(runs) == classes
         assert all(len(check.class_residuals) == len(check.first_blocks) == classes for check in checks)

@@ -335,6 +335,21 @@ def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(mon
             assert (worst > 0.0) == (dim // 2 > block)
 
 
+def test_algebra_suite_runs_the_catalog_once_per_distinct_block_in_a_process(monkeypatch):
+    runs = []
+    catalog = pauli._catalog
+
+    def counting(lowering):
+        runs.append(lowering)
+        return catalog(lowering)
+
+    monkeypatch.setattr(pauli, "_catalog", counting)
+    pauli._class_catalog.cache_clear()
+    report = algebra_suite(list(range(2, 513, 2)), list(range(1, 13)))
+    assert len(report.records) == 12 + 30 * 256 * 12
+    assert len(runs) <= 2  # the blocks (0, 1, 0, 0) and (0, -1, 0, 0)
+
+
 def test_algebra_suite_rejects_a_bad_dim_below_the_largest():
     with pytest.raises(ValueError, match="dim=3"):
         algebra_suite([2, 3, 64], [1])
@@ -694,6 +709,16 @@ def test_cli_quadrature_under_resolved_fails_with_flag():
     parsed = json.loads(proc.stdout)
     assert all(r["params"]["under_resolved"] for r in parsed["records"])
     assert parsed["summary"]["fail"] == len(parsed["records"]) == 4
+
+
+@pytest.mark.parametrize(
+    "radial, angular, code, under_resolved", (("32", "64", 0, "false"), ("32", "33", 0, "false"), ("8", "16", 1, "true"))
+)
+def test_cli_quadrature_flags_only_a_grid_that_misses(radial, angular, code, under_resolved):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["quadrature", "--dim", "64", "--radial", radial, "--angular", angular]) == code
+    assert out.getvalue().count(f'"under_resolved": {under_resolved}') == 4
 
 
 def test_cli_quadrature_single_variant():
