@@ -294,13 +294,6 @@ def test_grid_resolves_exactly_the_grids_whose_residual_is_at_rounding():
             assert not any(coarse._replace(angular_count=m).resolves(dim) for m in range(1, 2 * dim + 2))
 
 
-def test_grid_resolution_turns_on_at_the_aliasing_stride():
-    grid = quadrature_grid(32, 1)
-    assert [m for m in range(1, 129) if grid._replace(angular_count=m).resolves(64)] == [
-        m for m in range(1, 129) if m >= 64 or m % 2 and m >= 33
-    ]
-
-
 @pytest.mark.parametrize("variant", RESOLUTION_VARIANTS)
 def test_resolution_exact_grid(variant):
     residual = resolution_residual(FockSpace(16), variant, quadrature_grid(16, 64))
@@ -621,8 +614,8 @@ def test_band_is_bit_equal_to_the_dense_products_for_real_deformations(name, dim
 
 
 def test_ladder_commutator_names_the_level_where_the_raising_ladder_overflows():
-    # R_n = sqrt(n+1) / f(n) is past the double range at n = 3: 1/f(3) overflows
-    # for f(3) = 1e-310, and 1/f(3) = 1.7e308 does for f(3) = 6e-309 once doubled
+    # R_n = sqrt(n+1) / f(n) overflows at n = 3: for f(3) = 1e-310 already in
+    # 1/f(3), for f(3) = 6e-309 only when 1/f(3) = 1.7e308 is doubled
     space = FockSpace(8)
     for tiny in (1e-310, 6e-309):
         f = [1.0] * 8
