@@ -18,6 +18,7 @@ import sys
 import types
 
 from .report import (
+    _QUADRATURE_TOLERANCE,
     DUMPABLE_OPERATORS,
     RESOLUTION_VARIANTS,
     VerificationReport,
@@ -55,7 +56,7 @@ _COMMANDS = {
         "radial": {"type": int, "default": 16, "help": "Gauss-Laguerre node count K"},
         "angular": {"type": int, "default": 64, "help": "uniform angle count M"},
         "variants": {"default": "all", "help": "comma-separated subset of %s, or 'all'" % ",".join(RESOLUTION_VARIANTS)},
-        "tol": {"type": float, "default": 1e-12},
+        "tol": {"type": float, "default": _QUADRATURE_TOLERANCE},
         "format": _FORMAT}),
     "grassmann": ("check the Grassmann-eigenvalue eigenvectors of sigma_-", {
         "dims": {"type": _int_list, "required": True}, "ls": {"type": _int_list, "required": True}, "format": _FORMAT}),

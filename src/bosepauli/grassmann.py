@@ -121,11 +121,11 @@ class GrassmannKet(_Value):
     def __init__(self, space: FockSpace, body: np.ndarray, soul: np.ndarray):
         import numpy as np
 
-        for part in (body, soul):
+        for name, part in (("body", body), ("soul", soul)):
             if part.shape != (space.dim,):
-                raise ValueError(f"amplitude vector has shape {part.shape}, expected ({space.dim},)")
+                raise ValueError(f"{name} amplitude vector has shape {part.shape}, expected ({space.dim},)")
             if not np.all(np.isfinite(part.real) & np.isfinite(part.imag)):
-                raise ValueError("Grassmann ket amplitudes must be finite")
+                raise ValueError(f"Grassmann ket {name} amplitudes must be finite")
         super().__init__(space, body, soul)
 
     def __eq__(self, other):

@@ -229,7 +229,7 @@ def parity_projectors(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
 def pauli_set(params: BosonizationParams) -> PauliSet:
     """Assemble ``sigma_-``, ``sigma_+ = sigma_-^dag``, ``sigma_1 = sigma_+ + sigma_-``,
     ``sigma_2 = -i(sigma_+ - sigma_-)`` and the diagonal ``sigma_3``."""
-    sets = [_pauli_blocks(_Block(*_lowering_block(n, params.l))) for n in range(params.space.dim // 2)]
+    sets = [_pauli_blocks(block) for block in _named_blocks("sigma_minus", params)]
     return PauliSet._make(_direct_sum(blocks) for blocks in zip(*sets))
 
 
@@ -252,11 +252,12 @@ def _catalog(lowering: _Block) -> list[tuple[str, str, float]]:
     """``(identity, paper equation, residual)`` of every catalog entry on the
     pair block whose ``sigma_-`` is ``lowering``."""
     ops = _pauli_blocks(lowering)
+    minus, three = ops.sigma_minus, ops.sigma_three
     eye, zero = _Block(1.0, 0, 0, 1.0), _Block(0.0, 0, 0, 0.0)
     p_even, p_odd = _DIAGONAL_BLOCKS["p_even"], _DIAGONAL_BLOCKS["p_odd"]
     triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}
 
-    checks: list[tuple[str, str, _Block | str]] = []
+    checks: list[tuple[str, str, _Block]] = []
     for name_i, op_i in triple.items():
         for name_j, op_j in triple.items():
             target = 2.0 * eye if name_i == name_j else zero
@@ -274,15 +275,13 @@ def _catalog(lowering: _Block) -> list[tuple[str, str, float]]:
     checks.append(("anticomm_sigma_plus_sigma_minus", "(10)", anticommutator(ops.sigma_plus, ops.sigma_minus) - eye))
     checks.append(("sigma_plus_sigma_minus_equals_odd_projector", "(29)", ops.sigma_plus @ ops.sigma_minus - p_odd))
     checks.append(("sigma_minus_sigma_plus_equals_even_projector", "(29)", ops.sigma_minus @ ops.sigma_plus - p_even))
-    # (30)-(32) restate earlier entries term for term ((30) negated): each reuses that entry's residual.
-    checks.append(("sigma_three_equals_ladder_commutator", "(30)", "comm_sigma_plus_sigma_minus"))
-    checks.append(("anticomm_sigma_minus_sigma_three_recheck", "(31)", "anticomm_sigma_minus_sigma_three"))
-    checks.append(("comm_sigma_minus_sigma_three_recheck", "(32)", "comm_sigma_minus_sigma_three"))
+    checks.append(("sigma_three_equals_ladder_commutator", "(30)", three - commutator(ops.sigma_plus, minus)))
+    checks.append(("anticomm_sigma_minus_sigma_three_recheck", "(31)", anticommutator(minus, three)))
+    checks.append(("comm_sigma_minus_sigma_three_recheck", "(32)", commutator(minus, three) - 2.0 * minus))
     checks.append(("sigma_minus_squared", "(1)", ops.sigma_minus @ ops.sigma_minus))
     checks.append(("sigma_plus_squared", "(1)", ops.sigma_plus @ ops.sigma_plus))
 
-    residuals = {name: diff.max_abs() for name, _, diff in checks if not isinstance(diff, str)}
-    return [(name, eq, residuals[diff if isinstance(diff, str) else name]) for name, eq, diff in checks]
+    return [(name, eq, diff.max_abs()) for name, eq, diff in checks]
 
 
 @functools.cache

@@ -52,6 +52,7 @@ def __getattr__(name: str):
 
 
 FUNCTIONAL_EQUATION_N_MAX = 1000
+_QUADRATURE_TOLERANCE = 1e-12  # the default of quadrature_suite and of ``quadrature --tol``
 DEFAULT_GRASSMANN_SOUL = 1.0 + 1.0j
 
 CSV_COLUMNS = ("identity_id", "paper_eq", "dim", "l", "variant", "residual", "tolerance", "pass")
@@ -210,7 +211,9 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
     return VerificationReport(records)
 
 
-def quadrature_suite(dim: int, radial: int, angular: int, variants: list[str], tolerance: float = 1e-12) -> VerificationReport:
+def quadrature_suite(
+    dim: int, radial: int, angular: int, variants: list[str], tolerance: float = _QUADRATURE_TOLERANCE
+) -> VerificationReport:
     """Resolution-of-identity records for the requested variants."""
     space = FockSpace(dim)
     grid = _this.quadrature_grid(radial, angular)

@@ -162,6 +162,31 @@ def test_phase_relation_level_two_sign_flip():
     assert np.isclose(even_ket(space, 1j * z)[2], -even_ket(space, z)[2], rtol=0, atol=1e-15)
 
 
+def _four_ket_phase_relation_residual(space, z):
+    """The phase relation compared on each cat state separately: the even and
+    the odd ket at ``z`` and at ``iz``."""
+    z = complex(z)
+    phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(space.dim) % 4]
+    res_even = max_abs_norm(phases * even_ket(space, z) - even_ket(space, 1j * z))
+    res_odd = max_abs_norm(phases * odd_ket(space, z) - odd_ket(space, 1j * z))
+    return max(res_even, res_odd)
+
+
+def test_phase_relation_is_bit_equal_to_the_four_ket_oracle():
+    rng = np.random.default_rng(20031)
+    # |z| above about 37.6 takes coherent_ket's shifted start, where the residual is no longer 0
+    radii = np.concatenate([rng.uniform(0, 5, 400), rng.uniform(5, 37.6, 300), rng.uniform(37.6, 80, 300)])
+    zs = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, radii.size))
+    nonzero = 0
+    for dim in (2, 3, 64, 1000, 4096):
+        space = FockSpace(dim)
+        for z in zs:
+            residual = phase_relation_residual(space, z)
+            assert residual == _four_ket_phase_relation_residual(space, z), (dim, z)
+            nonzero += residual != 0.0
+    assert nonzero  # the sweep reaches residuals that are not exactly zero
+
+
 # -------------------------------------------------------------- quadrature
 
 
@@ -422,6 +447,11 @@ def test_undeformed_recursion_reproduces_coherent_state():
     ket = nonlinear_coherent_ket(space, lambda n: 1.0, z)
     prefactor = math.exp(-abs(z) ** 2 / 2)
     assert np.allclose(prefactor * ket, coherent_ket(space, z), rtol=0, atol=1e-14)
+
+
+def test_a_deformation_sequence_of_the_wrong_length_is_rejected():
+    with pytest.raises(ValueError, match=re.escape("expected 4 deformation values, got shape (3,)")):
+        nonlinear_coherent_ket(FockSpace(4), [1.0] * 3, 0.5)
 
 
 def test_recursion_against_closed_form_product():

@@ -126,6 +126,12 @@ def test_max_abs_norm_zero_matrix():
     assert max_abs_norm(np.zeros((4, 4), dtype=complex)) == 0.0
 
 
+@pytest.mark.parametrize("empty", [np.zeros(0, dtype=complex), np.zeros((0, 3)), []])
+def test_max_abs_norm_of_an_empty_array_is_zero(empty):
+    # np.max of an empty array raises; the residual of no entries is 0.0
+    assert max_abs_norm(empty) == 0.0
+
+
 def test_inner_orthonormal_basis():
     space = FockSpace(5)
     for n in range(5):

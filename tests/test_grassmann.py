@@ -1,4 +1,5 @@
 import io
+import re
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -98,6 +99,26 @@ def test_ket_shape_validation():
     space = FockSpace(4)
     with pytest.raises(ValueError):
         GrassmannKet(space, np.zeros(3, dtype=complex), np.zeros(4, dtype=complex))
+    with pytest.raises(ValueError, match=r"^soul amplitude vector has shape \(5,\), expected \(4,\)$"):
+        GrassmannKet(space, np.zeros(4, dtype=complex), np.zeros(5, dtype=complex))
+
+
+@pytest.mark.parametrize("vector", ["body", "soul"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_ket_rejects_a_non_finite_amplitude_naming_its_vector(vector, bad):
+    space = FockSpace(4)
+    parts = {"body": np.zeros(4, dtype=complex), "soul": np.zeros(4, dtype=complex)}
+    parts[vector][2] = bad
+    with pytest.raises(ValueError, match=f"^Grassmann ket {vector} amplitudes must be finite$"):
+        GrassmannKet(space, parts["body"], parts["soul"])
+
+
+def test_scalar_fields_cannot_be_deleted():
+    x = GrassmannScalar(1.0, 2j)
+    for field in ("body", "soul"):
+        with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+            delattr(x, field)
+    assert x == GrassmannScalar(1.0, 2j)
 
 
 def test_kets_compare_their_amplitude_arrays_by_value():
@@ -119,6 +140,13 @@ def test_apply_identity_and_zero():
     assert np.array_equal(same.soul, ket.soul)
     killed = apply_operator(np.zeros((4, 4), dtype=complex), ket)
     assert max_abs_amplitude(killed) == 0.0
+
+
+def test_apply_operator_rejects_a_mismatched_shape():
+    ket = GrassmannKet(FockSpace(4), np.ones(4, dtype=complex), np.zeros(4, dtype=complex))
+    for op in (np.eye(6, dtype=complex), np.ones((4, 6), dtype=complex)):
+        with pytest.raises(ValueError, match=re.escape(f"operator shape {op.shape} does not match dim 4")):
+            apply_operator(op, ket)
 
 
 def test_sigma_minus_carries_theta_down_one_level():

@@ -232,6 +232,22 @@ def test_report_json_prints_equal_values_of_other_types_or_signs_apart():
     assert report.to_json() == _reference_json(report)
 
 
+def test_report_json_prints_a_none_param_as_json_dumps_does():
+    report = VerificationReport([CheckRecord("x", "(7)", {"dim": None, "l": 2}, 0.0, 0.0)])
+    assert report.to_json() == _reference_json(report)
+    assert '"dim": null' in report.to_json()
+
+
+@pytest.mark.parametrize("value", [{1, 2}, b"bytes", 1j, object()])
+def test_report_json_rejects_an_unsupported_param_type_as_json_dumps_does(value):
+    with pytest.raises(TypeError) as reference:
+        json.dumps({"v": value})
+    report = VerificationReport([CheckRecord("x", "(7)", {"v": value}, 0.0, 0.0)])
+    with pytest.raises(TypeError) as raised:
+        report.to_json()
+    assert str(raised.value) == str(reference.value)
+
+
 @pytest.mark.parametrize("dims, ls", (([2, 4, 8, 16, 32, 64, 128, 256], [1, 2, 3, 4, 5, 6]), ([512], [11, 4])))
 def test_report_writers_match_json_dumps_and_csv_writer_on_verify_sweeps(dims, ls):
     report = algebra_suite(dims, ls)
