@@ -53,12 +53,12 @@ def verify_functional_equation(l: int, n_max: int) -> float:
     ``c_n = (n+1) f^2(n)``, which depends on ``n mod 4`` alone, term ``n`` is
     ``n(n+1)(c_n + c_(n-1) - 1) / (n(n+1))``: exactly the integer
     ``c_n + c_(n-1) - 1``, repeating from ``n = 5`` on, so the maximum is
-    exactly ``0.0`` when the recurrence holds. ``n_max`` must keep every
-    numerator below ``2**53``.
+    exactly ``0.0`` when the recurrence holds. Only the terms
+    ``n <= min(n_max, 4)`` are evaluated, so any ``n_max >= 0`` costs the same.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max={n_max} must be >= 0")
     table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n by n mod 4
-    if n_max < 0 or n_max * (n_max + 1) * (2 * max(map(abs, table)) + 1) >= 2**53:
-        raise ValueError(f"n_max={n_max} must be >= 0 and keep every numerator below 2**53")
     sums = [table[0]] + [table[n % 4] + table[n - 1] for n in range(1, min(n_max, 4) + 1)]  # c_n + c_(n-1), c_(-1) = 0
     return float(max(abs(c - 1) for c in sums))
 

@@ -15,7 +15,6 @@ import importlib
 import io
 import math
 import sys
-from operator import itemgetter
 from typing import NamedTuple
 
 try:  # the C accelerator that json.encoder wraps, without loading the json package
@@ -78,6 +77,8 @@ def _token(value) -> str:
         if value == -math.inf:
             return "-Infinity"
         return float.__repr__(value)
+    if isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"report params hold JSON scalars, not {type(value).__name__}")
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -126,8 +127,23 @@ class VerificationReport:
     def __repr__(self) -> str:
         return f"VerificationReport(records={self.records!r}, tool_version={self.tool_version!r})"
 
+    def _ordered(self) -> list[tuple[CheckRecord, tuple[str, str]]]:
+        """Each record with its ``_params_json`` texts, in report order:
+        ``identity_id``, then the ``sort_keys`` text of ``params``, stably.
+
+        Each params object is formatted once, keyed by ``id``: the records
+        hold it alive, and one object prints one way, where equal values such
+        as ``0``, ``-0.0`` and ``False`` do not."""
+        texts = {}
+        ordered = [
+            (record, texts.get(key := id(record.params)) or texts.setdefault(key, record._params_json()))
+            for record in self.records
+        ]
+        ordered.sort(key=lambda pair: (pair[0].identity_id, pair[1][0]))
+        return ordered
+
     def sorted_records(self) -> list[CheckRecord]:
-        return sorted(self.records, key=lambda record: (record.identity_id, record._params_json()[0]))
+        return [record for record, _ in self._ordered()]
 
     @property
     def summary(self) -> dict:
@@ -138,29 +154,16 @@ class VerificationReport:
         return all(r.passed for r in self.records)
 
     def to_json(self) -> str:
-        """``json.dumps(payload, indent=2)`` of the version, the sorted records and the summary.
-
-        Each record's head (identity, equation), params and tail (residual,
-        tolerance, flags) is formatted once per distinct set of objects, keyed
-        by ``id``: the records hold them alive, and one object prints one way,
-        where equal values such as ``0``, ``-0.0`` and ``False`` do not."""
-        heads, params_texts, tails, keyed = {}, {}, {}, []
-        for record in self.records:
-            identity_id, equation, params, residual, tolerance = record
-            head = heads.get(key := (id(identity_id), id(equation))) or heads.setdefault(
-                key, f'    {{\n      "identity_id": {_token(identity_id)},\n      "paper_eq": {_token(equation)},\n      "params": '
-            )
-            key = (*map(id, params), *map(id, params.values()))
-            texts = params_texts.get(key) or params_texts.setdefault(key, record._params_json())
-            tail = tails.get(key := (id(residual), id(tolerance))) or tails.setdefault(
-                key,
-                f',\n      "residual": {_token(residual)},\n      "tolerance": {_token(tolerance)},\n'
-                f'      "pass": {"true" if record.passed else "false"},\n'
-                f'      "exact_expected": {"true" if record.exact_expected else "false"}\n    }}',
-            )
-            keyed.append(((identity_id, texts[0]), head + texts[1] + tail))
-        keyed.sort(key=itemgetter(0))
-        records = ",\n".join([block for _, block in keyed])
+        """``json.dumps(payload, indent=2)`` of the version, the sorted records and the summary."""
+        records = ",\n".join(
+            [
+                f'    {{\n      "identity_id": {_token(record.identity_id)},\n      "paper_eq": {_token(record.equation)},\n'
+                f'      "params": {params},\n      "residual": {_token(record.residual)},\n'
+                f'      "tolerance": {_token(record.tolerance)},\n      "pass": {"true" if record.passed else "false"},\n'
+                f'      "exact_expected": {"true" if record.exact_expected else "false"}\n    }}'
+                for record, (_, params) in self._ordered()
+            ]
+        )
         records = "[\n" + records + "\n  ]" if records else "[]"
         summary = self.summary
         return (
@@ -177,7 +180,7 @@ class VerificationReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for record in self.sorted_records():
+        for record, _ in self._ordered():
             writer.writerow(
                 [
                     record.identity_id,
@@ -204,10 +207,9 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
         )
     grid = [_this.BosonizationParams(l, FockSpace(dim)) for dim in dims for l in ls]  # rejects each bad (dim, l)
     for params in grid:
+        pair = {"dim": params.space.dim, "l": params.l}  # one object for the pair's records, formatted once
         for check in _this.algebra_residuals(params):
-            records.append(
-                CheckRecord(check.identity, check.equation, {"dim": params.space.dim, "l": params.l}, check.residual, tolerance)
-            )
+            records.append(CheckRecord(check.identity, check.equation, pair, check.residual, tolerance))
     return VerificationReport(records)
 
 
@@ -262,28 +264,24 @@ def _row_major(shape: tuple[int, int], entries):
 def matrix_to_json(shape: tuple[int, int], entries, out) -> None:
     """Write the ``shape`` matrix with the nonzero ``(row, col, value)`` entries,
     strictly increasing in ``(row, col)``, to the text stream ``out`` as a JSON
-    array of rows of [re, im] pairs, in chunks of about 256 KB. Each row is one
-    all-zero row with its entries cut in, so the writer holds about one row and
-    one chunk, never the matrix. Adding 0.0 prints -0.0 as 0.0, so a dump does
-    not depend on how it was built."""
+    array of rows of [re, im] pairs, one row per write. Each row is one
+    all-zero row with its entries cut in, so the writer holds one row, never
+    the matrix. Adding 0.0 prints -0.0 as 0.0, so a dump does not depend on
+    how it was built."""
     rows, cols = shape
     zero = "[" + ", ".join(["[0.0, 0.0]"] * cols) + "]"  # zero token j is zero[1 + 12 j : 11 + 12 j]
     entries = _row_major(shape, entries)
     entry = next(entries, None)
-    chunk, size = ["["], 0
+    out.write("[")
     for i in range(rows):
-        at = 0
+        row, at = [], 0
         while entry is not None and entry[0] == i:
             _, j, value = entry
-            chunk += (zero[at : 1 + 12 * j], f"[{_token(value.real + 0.0)}, {_token(value.imag + 0.0)}]")
+            row += (zero[at : 1 + 12 * j], f"[{_token(value.real + 0.0)}, {_token(value.imag + 0.0)}]")
             at, entry = 11 + 12 * j, next(entries, None)
-        chunk += (zero[at:], ", " if i + 1 < rows else "")
-        size += len(zero)
-        if size >= 1 << 18:
-            out.write("".join(chunk))
-            chunk, size = [], 0
-    chunk.append("]")
-    out.write("".join(chunk))
+        row += (zero[at:], ", " if i + 1 < rows else "")
+        out.write("".join(row))
+    out.write("]")
 
 
 def matrix_to_csv(entries) -> str:

@@ -93,7 +93,10 @@ def test_functional_equation_matches_rational_reference(l, n_max):
     assert math.copysign(1.0, fast) == 1.0
 
 
-@pytest.mark.parametrize("table", ((1, 0, 2, 0), (1, 1, -1, 0), (0, 0, -1, 0), (1, 0, 1, 2)))
+WRONG_COSINE_TABLES = ((1, 0, 2, 0), (1, 1, -1, 0), (0, 0, -1, 0), (1, 0, 1, 2))  # stand-ins for cos(pi n / 2), by n mod 4
+
+
+@pytest.mark.parametrize("table", WRONG_COSINE_TABLES)
 @pytest.mark.parametrize("l", (1, 2, 12))
 def test_functional_equation_reports_a_wrong_cosine_table(monkeypatch, table, l):
     monkeypatch.setattr(pauli, "_cos_half_pi", lambda n: table[n % 4])
@@ -103,10 +106,22 @@ def test_functional_equation_reports_a_wrong_cosine_table(monkeypatch, table, l)
     assert expected != 0.0
 
 
-@pytest.mark.parametrize("n_max", (-1, -1000, 2**26, 10**9))
+@pytest.mark.parametrize("n_max", (-1, -1000))
 def test_functional_equation_rejects_n_max_outside_the_exact_range(n_max):
     with pytest.raises(ValueError, match="n_max"):
         verify_functional_equation(1, n_max)
+
+
+@pytest.mark.parametrize("n_max", (2**26, 10**9))
+@pytest.mark.parametrize("table", (None, *WRONG_COSINE_TABLES))
+def test_functional_equation_terms_repeat_past_n_4_for_any_n_max(monkeypatch, table, n_max):
+    # the terms repeat with period 4 for any table, so a large n_max adds nothing
+    if table is not None:
+        monkeypatch.setattr(pauli, "_cos_half_pi", lambda n: table[n % 4])
+    for l in (1, 2, 12):
+        expected = _fraction_functional_equation(l, 4)
+        assert verify_functional_equation(l, n_max) == expected
+        assert (expected == 0.0) == (table is None)
 
 
 # ------------------------------------------------------------------ sigma_-

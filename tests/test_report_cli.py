@@ -225,11 +225,19 @@ def test_report_writers_match_json_dumps_and_csv_writer(records, version):
 
 def test_report_json_prints_equal_values_of_other_types_or_signs_apart():
     # 0 == False == 0.0 == -0.0 and 1 == True == 1.0, so text shared between
-    # records by the value of their params or residuals would print one for another
+    # records by the value of their params or residuals would print one for another;
+    # the first three residuals of each value share one params object
     values = (0, False, 0.0, -0.0, 1, True, 1.0)
-    records = [CheckRecord("x", "(7)", {"v": v, "dim": 4}, r, 0.0) for v in values for r in (0.0, -0.0, 0, False, 1e-9)]
+    records = []
+    for v in values:
+        shared = {"v": v, "dim": 4, "l": v}
+        for k, r in enumerate((0.0, -0.0, 0, False, 1e-9)):
+            records.append(CheckRecord("x", "(7)", shared if k < 3 else dict(shared), r, 0.0))
     report = VerificationReport(records)
     assert report.to_json() == _reference_json(report)
+    assert report.to_csv() == _reference_csv(report)
+    # records equal by value may still print apart, so compare the order by identity
+    assert list(map(id, report.sorted_records())) == list(map(id, _reference_sorted(report)))
 
 
 def test_report_json_prints_a_none_param_as_json_dumps_does():
@@ -246,6 +254,28 @@ def test_report_json_rejects_an_unsupported_param_type_as_json_dumps_does(value)
     with pytest.raises(TypeError) as raised:
         report.to_json()
     assert str(raised.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("value", [[1, 2], (1, 2), {"dim": 2}])
+def test_report_json_rejects_a_container_param_naming_its_type(value):
+    report = VerificationReport([CheckRecord("x", "(7)", {"v": value}, 0.0, 0.0)])
+    for write in (report.to_json, report.to_csv):
+        with pytest.raises(TypeError) as raised:
+            write()
+        assert str(raised.value) == f"report params hold JSON scalars, not {type(value).__name__}"
+
+
+def test_report_writers_format_each_params_object_once(monkeypatch):
+    # algebra_suite shares one params object among a (dim, l) pair's 30 records
+    calls = []
+    params_json = CheckRecord._params_json
+    monkeypatch.setattr(CheckRecord, "_params_json", lambda record: calls.append(record) or params_json(record))
+    dims, ls = [2, 8, 64], [1, 2, 5]
+    report = algebra_suite(dims, ls)
+    for write in (report.to_json, report.to_csv):
+        calls.clear()
+        write()
+        assert len(calls) == len(dims) * len(ls) + len(ls)  # once per (dim, l), once per functional equation
 
 
 @pytest.mark.parametrize("dims, ls", (([2, 4, 8, 16, 32, 64, 128, 256], [1, 2, 3, 4, 5, 6]), ([512], [11, 4])))
@@ -462,6 +492,26 @@ def test_matrix_json_rejects_entries_outside_the_shape_or_out_of_row_major_order
 def _whole_matrix_json(op):
     # reference: one json.dumps of the nested list of every [re, im] pair
     return json.dumps(np.stack([op.real + 0.0, op.imag + 0.0], -1).tolist())
+
+
+class _RecordingStream:
+    # a text stream that keeps each write apart
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize("dim", (2, 6, 64))
+def test_matrix_json_writes_one_row_at_a_time(dim):
+    rng = np.random.default_rng(dim)
+    op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    op[rng.random((dim, dim)) < 0.6] = 0.0
+    out = _RecordingStream()
+    matrix_to_json(op.shape, _nonzero_entries(op), out)
+    assert "".join(out.writes) == _whole_matrix_json(op)
+    assert all(text.count("]]") <= 1 for text in out.writes)  # a row, and only a row, ends in "]]"
 
 
 _PART = st.one_of(
@@ -681,8 +731,8 @@ def test_cli_prints_negative_zero_tolerance_unsigned(command, code):
     "args",
     (
         ("grassmann", "--dims", "2", "--ls", "1"),  # fits the stdout buffer: fails at the final flush
-        ("dump", "--op", "sigma_minus", "--dim", "256"),  # ~0.8 MB: fails inside the first chunk written
-        ("dump", "--op", "sigma_minus", "--dim", "1024"),  # 12.6 MB in ~48 chunks: fails at the first
+        ("dump", "--op", "sigma_minus", "--dim", "256"),  # ~0.8 MB in 3 KB rows: fails once they fill the buffer
+        ("dump", "--op", "sigma_minus", "--dim", "1024"),  # 12.6 MB in 12 KB rows: fails at the first row
     ),
 )
 def test_cli_quits_quietly_when_stdout_closes_early(args):
