@@ -211,6 +211,8 @@ _PARAMS = st.one_of(
     ),
     st.fixed_dictionaries({"dim": _SMALL_INT, "l": _SMALL_INT, "soul_re": _FLOAT, "soul_im": _FLOAT}),  # grassmann
     st.dictionaries(_TEXT, st.one_of(_SMALL_INT, _FLOAT, st.booleans(), _TEXT), max_size=3),
+    # json.dumps writes non-text keys as text, and a report rejects them
+    st.dictionaries(st.one_of(_TEXT, _SMALL_INT, _FLOAT, st.booleans(), st.none()), _SMALL_INT, max_size=3),
 )
 _RECORDS = st.lists(st.builds(CheckRecord, _TEXT, _TEXT, _PARAMS, _FLOAT, _FLOAT), max_size=12)
 
@@ -219,6 +221,14 @@ _RECORDS = st.lists(st.builds(CheckRecord, _TEXT, _TEXT, _PARAMS, _FLOAT, _FLOAT
 @given(_RECORDS, _TEXT)
 def test_report_writers_match_json_dumps_and_csv_writer(records, version):
     report = VerificationReport(records, tool_version=version)
+    # the first params object, in record order, that holds a non-text key names its first such key
+    keys = [key for record in records for key in record.params if not isinstance(key, str)]
+    if keys:
+        for write in (report.to_json, report.to_csv):
+            with pytest.raises(TypeError) as raised:
+                write()
+            assert str(raised.value) == f"report params keys are strings, not {keys[0]!r}"
+        return
     assert report.to_json() == _reference_json(report)
     assert report.to_csv() == _reference_csv(report)
 
@@ -263,6 +273,16 @@ def test_report_json_rejects_a_container_param_naming_its_type(value):
         with pytest.raises(TypeError) as raised:
             write()
         assert str(raised.value) == f"report params hold JSON scalars, not {type(value).__name__}"
+
+
+@pytest.mark.parametrize("key", [1, 2.5, True, None, ("dim",)])
+def test_report_rejects_a_non_text_params_key_naming_it(key):
+    # json.dumps would write {1: 2} with the key "1"; printed bare it is not JSON
+    report = VerificationReport([CheckRecord("x", "(7)", {"dim": 2, key: 2}, 0.0, 0.0)])
+    for write in (report.to_json, report.to_csv, report.sorted_records):
+        with pytest.raises(TypeError) as raised:
+            write()
+        assert str(raised.value) == f"report params keys are strings, not {key!r}"
 
 
 def test_report_writers_format_each_params_object_once(monkeypatch):
