@@ -26,7 +26,7 @@ _EXPORTS = {
     "anticommutator": "fock",
     "max_abs_norm": "fock",
     "fock_ket": "fock",
-    "BosonizationParams": "pauli",
+    "BosonizationParams": "blocks",
     "PauliSet": "pauli",
     "IdentityCheck": "pauli",
     "f_coefficient": "pauli",
@@ -66,8 +66,17 @@ _EXPORTS = {
 __all__ = ["__version__", *_EXPORTS]
 
 
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
-    return value
+def _lazy(namespace: dict, table: dict[str, str]):
+    """A module ``__getattr__`` (PEP 562) that imports each name of ``table`` from the
+    package module it maps to, on first use, and keeps it in ``namespace``."""
+
+    def __getattr__(name: str):
+        if name not in table:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(f".{table[name]}", __name__), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _EXPORTS)

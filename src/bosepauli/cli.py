@@ -17,18 +17,23 @@ import os
 import sys
 import types
 
-from .report import (
-    _QUADRATURE_TOLERANCE,
-    DUMPABLE_OPERATORS,
-    RESOLUTION_VARIANTS,
-    VerificationReport,
-    algebra_suite,
-    grassmann_suite,
-    matrix_to_csv,
-    matrix_to_json,
-    named_operator,
-    quadrature_suite,
-)
+from . import _lazy
+from ._choices import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS
+
+# entry point -> the module that defines it, imported on first use (PEP 562),
+# so --help and usage errors load none of them. ``_dispatch`` calls them as
+# attributes of this module, through ``_this``, so that a wrapper set on the
+# module attribute is the one it calls.
+_ENTRY_POINTS = {
+    "algebra_suite": "report",
+    "quadrature_suite": "report",
+    "grassmann_suite": "report",
+    "named_operator": "blocks",
+    "matrix_to_json": "writers",
+    "matrix_to_csv": "writers",
+}
+_this = sys.modules[__name__]
+__getattr__ = _lazy(globals(), _ENTRY_POINTS)
 
 
 def _int_list(text: str) -> list[int]:
@@ -129,7 +134,7 @@ def _check_ls(usage_error, ls: list[int]) -> None:
             usage_error(f"--ls entries must be positive, got {l}")
 
 
-def _emit(report: VerificationReport, fmt: str) -> int:
+def _emit(report, fmt: str) -> int:
     if fmt == "csv":
         sys.stdout.write(report.to_csv())
     else:
@@ -163,7 +168,7 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         _check_dims(error, args.dims)
         _check_ls(error, args.ls)
-        return _emit(algebra_suite(args.dims, args.ls, args.tol), args.format)
+        return _emit(_this.algebra_suite(args.dims, args.ls, args.tol), args.format)
 
     if args.command == "quadrature":
         _check_dims(error, [args.dim], "--dim")
@@ -176,22 +181,22 @@ def _dispatch(args) -> int:
             unknown = [v for v in variants if v not in RESOLUTION_VARIANTS]
             if not variants or unknown:
                 error(f"--variants must name variants among {RESOLUTION_VARIANTS}")
-        return _emit(quadrature_suite(args.dim, args.radial, args.angular, variants, args.tol), args.format)
+        return _emit(_this.quadrature_suite(args.dim, args.radial, args.angular, variants, args.tol), args.format)
 
     if args.command == "grassmann":
         _check_dims(error, args.dims)
         _check_ls(error, args.ls)
-        return _emit(grassmann_suite(args.dims, args.ls), args.format)
+        return _emit(_this.grassmann_suite(args.dims, args.ls), args.format)
 
     # dump
     _check_dims(error, [args.dim], "--dim")
     if args.l < 1:
         error(f"--l must be positive, got {args.l}")
-    entries = named_operator(args.op, args.dim, args.l)
+    entries = _this.named_operator(args.op, args.dim, args.l)
     if args.format == "csv":
-        sys.stdout.write(matrix_to_csv(entries))
+        sys.stdout.write(_this.matrix_to_csv(entries))
     else:
-        matrix_to_json((args.dim, args.dim), entries, sys.stdout)
+        _this.matrix_to_json((args.dim, args.dim), entries, sys.stdout)
         sys.stdout.write("\n")
     return 0
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     import numpy as np
 
-    from .pauli import _Block
+    from .blocks import _Block
 
 
 class FockSpace(NamedTuple("FockSpace", [("dim", int)])):

@@ -6,7 +6,8 @@ rather than numerical. Grassmann scalars commute with complex matrix
 entries; a ket with Grassmann amplitudes is stored as the pair of complex
 coefficient vectors (body, soul). The eigenvector check needs no numpy: the
 eigenket of ``sigma_-`` lives on levels 0 and 1, so it runs on pair block 0 of
-``sigma_-`` alone.
+``sigma_-`` alone, from :mod:`bosepauli.blocks`, and never loads the identity
+catalog in :mod:`bosepauli.pauli`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import cmath
 from numbers import Number
 from typing import TYPE_CHECKING
 
-from . import pauli  # block 0 is looked up when called, as the catalog's blocks are
+from . import blocks  # block 0 is looked up when called, as the catalog's blocks are
 from .fock import FockSpace, fock_ket
 
 if TYPE_CHECKING:
@@ -187,9 +188,9 @@ def eigen_check(space: FockSpace, l: int, xi: GrassmannScalar) -> tuple[float, f
     ket. Both are exactly zero: the block has exact ``{0, 1}`` entries and
     the Grassmann product drops ``xi^2`` identically.
     """
-    pauli.BosonizationParams(l, space)  # rejects a bad (l, dim)
-    block = pauli._Block(*pauli._lowering_block(0, l))
+    blocks.BosonizationParams(l, space)  # rejects a bad (l, dim)
+    block = blocks._Block(*blocks._lowering_block(0, l))
     level_zero, level_one = _eigenket_amplitudes(xi)
-    ket = pauli._Block(level_zero, 0, level_one, 0)  # the two amplitudes as a column
+    ket = blocks._Block(level_zero, 0, level_one, 0)  # the two amplitudes as a column
     lowered = block @ ket
     return (lowered - xi * ket).max_abs(), (block @ lowered).max_abs()

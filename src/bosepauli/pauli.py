@@ -13,9 +13,9 @@ fall into at most two distinct classes. The identity catalog runs once per
 class in a process, on 2x2 matrices of Python ``complex`` with entries in
 ``{0, +-1, +-i}``: their products and sums round nowhere, so the catalog is
 exact on every distinct block, and every block of the truncation is one of
-them. That certificate, like the functional equation, needs no numpy, and
-neither do the ``dump`` entries, which are read off the blocks of the named
-operator. Only the public dense constructors import numpy, when called.
+them. That certificate, like the functional equation, needs no numpy. The
+blocks and ``BosonizationParams`` come from :mod:`bosepauli.blocks`. Only the
+public dense constructors import numpy, when called.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from ._choices import DUMPABLE_OPERATORS
+from . import blocks
+from .blocks import _DIAGONAL_BLOCKS, DUMPABLE_OPERATORS, BosonizationParams, _Block, _cos_half_pi, _entries, _named_blocks
 from .fock import FockSpace, anticommutator, commutator
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _cos_half_pi(n: int) -> int:
-    """``cos(pi n / 2)`` as an exact integer, by case analysis on ``n mod 4``."""
-    return (1, 0, -1, 0)[n % 4]
 
 
 def f_coefficient(n: int, l: int) -> float:
@@ -63,24 +59,6 @@ def verify_functional_equation(l: int, n_max: int) -> float:
     return float(max(abs(c - 1) for c in sums))
 
 
-class BosonizationParams(NamedTuple("BosonizationParams", [("l", int), ("space", FockSpace)])):
-    """Exponent ``l >= 1`` together with an even-dimensional space.
-
-    The truncation must be even so the retained levels pair completely as
-    ``(|2n>, |2n+1>)``; the top level is then odd, ``f`` vanishes on it, and
-    the pseudospin algebra closes in the finite space with zero error.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, l: int, space: FockSpace):
-        if not isinstance(l, int) or l < 1:
-            raise ValueError(f"exponent l must be a positive integer, got {l!r}")
-        if space.dim % 2 != 0:
-            raise ValueError(f"dim={space.dim} is odd; the pseudospin algebra only closes on even truncations")
-        return super().__new__(cls, l, space)
-
-
 class PauliSet(NamedTuple):
     """The five pseudospin operators assembled from one ``sigma_-``, either as
     dense matrices or as one 2x2 pair block."""
@@ -92,66 +70,6 @@ class PauliSet(NamedTuple):
     sigma_three: np.ndarray
 
 
-class _Block:
-    """2x2 matrix ``[[a, b], [c, d]]`` of Python numbers with the operations
-    the catalog uses; exact on Gaussian integers."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __matmul__(self, other: _Block) -> _Block:
-        return _Block(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def __add__(self, other: _Block) -> _Block:
-        return _Block(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d)
-
-    def __sub__(self, other: _Block) -> _Block:
-        return _Block(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
-
-    def __rmul__(self, scalar) -> _Block:
-        return _Block(scalar * self.a, scalar * self.b, scalar * self.c, scalar * self.d)
-
-    def dagger(self) -> _Block:
-        return _Block(self.a.conjugate(), self.c.conjugate(), self.b.conjugate(), self.d.conjugate())
-
-    def max_abs(self) -> float:
-        return float(max(abs(self.a), abs(self.b), abs(self.c), abs(self.d)))
-
-
-# the diagonal blocks that are dump targets; the catalog uses them too
-_DIAGONAL_BLOCKS = {
-    "sigma_three": _Block(-1.0, 0, 0, 1.0),
-    "p_even": _Block(1.0, 0, 0, 0.0),
-    "p_odd": _Block(0.0, 0, 0, 1.0),
-}
-
-
-def _lowering_block(n: int, l: int) -> tuple:
-    """Entries ``(b00, b01, b10, b11)`` of pair block ``n`` of ``sigma_-``."""
-    # The f(N) a entry at (2n, 2n+1) is f(2n) sqrt(2n+1) = cos^l(pi n), with the
-    # radial factors cancelled analytically: rounded square roots do not cancel
-    # in IEEE doubles ((1/sqrt(15))*sqrt(15) != 1), and exactness needs them to.
-    return (0, _cos_half_pi(2 * n) ** l, 0, 0)
-
-
-def _named_blocks(name: str, params: BosonizationParams) -> list[_Block]:
-    """Pair blocks of the operator named by one of :data:`DUMPABLE_OPERATORS`."""
-    pairs = params.space.dim // 2
-    if name in _DIAGONAL_BLOCKS:
-        return [_DIAGONAL_BLOCKS[name]] * pairs
-    if name not in DUMPABLE_OPERATORS:
-        raise ValueError(f"unknown operator {name!r}, expected one of {DUMPABLE_OPERATORS}")
-    lowering = [_Block(*_lowering_block(n, params.l)) for n in range(pairs)]
-    return lowering if name == "sigma_minus" else [block.dagger() for block in lowering]
-
-
 def _pauli_blocks(lowering: _Block) -> PauliSet:
     plus = lowering.dagger()
     return PauliSet(
@@ -161,17 +79,6 @@ def _pauli_blocks(lowering: _Block) -> PauliSet:
         sigma_two=-1j * (plus - lowering),
         sigma_three=_DIAGONAL_BLOCKS["sigma_three"],
     )
-
-
-def _entries(blocks: list[_Block]) -> list[tuple[int, int, complex]]:
-    """Nonzero ``(row, col, value)`` entries of the direct sum of pair blocks,
-    block ``n`` on levels ``(2n, 2n+1)``, in row-major order."""
-    return [
-        (2 * n + row, 2 * n + col, value)
-        for n, block in enumerate(blocks)
-        for row, col, value in ((0, 0, block.a), (0, 1, block.b), (1, 0, block.c), (1, 1, block.d))
-        if value
-    ]
 
 
 def _direct_sum(blocks: list[_Block]) -> np.ndarray:
@@ -230,7 +137,7 @@ def pauli_set(params: BosonizationParams) -> PauliSet:
     """Assemble ``sigma_-``, ``sigma_+ = sigma_-^dag``, ``sigma_1 = sigma_+ + sigma_-``,
     ``sigma_2 = -i(sigma_+ - sigma_-)`` and the diagonal ``sigma_3``."""
     sets = [_pauli_blocks(block) for block in _named_blocks("sigma_minus", params)]
-    return PauliSet._make(_direct_sum(blocks) for blocks in zip(*sets))
+    return PauliSet._make(_direct_sum(operator) for operator in zip(*sets))
 
 
 def two_level_restriction(op: np.ndarray) -> np.ndarray:
@@ -307,7 +214,7 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     """
     first_blocks: dict[tuple, int] = {}
     for n in range(params.space.dim // 2):
-        first_blocks.setdefault(_lowering_block(n, params.l), n)
+        first_blocks.setdefault(blocks._lowering_block(n, params.l), n)
     runs = [_class_catalog(block) for block in first_blocks]
     firsts = tuple(first_blocks.values())
     checks = []

@@ -1,38 +1,34 @@
-"""Check records, machine-readable verification reports, the parameter
-sweeps behind the command-line subcommands, and the ``dump`` writers.
+"""Check records, machine-readable verification reports and the parameter
+sweeps behind the command-line subcommands.
 
-None of them imports numpy: a dump is the nonzero ``(row, col, value)``
-entries of the operator's pair blocks, never a dense matrix. The domain
-modules (``pauli``, ``grassmann`` and ``quadrature``) load on first use, so
-a subcommand's process loads only those its suite calls. Reports are
-written from one template per record, token for token as
-``json.dumps(payload, indent=2)`` writes them, without the ``json`` package.
+None of them imports numpy. The domain modules (``pauli``, ``grassmann``,
+``quadrature`` and ``blocks``) load on first use, so a subcommand's process
+loads only those its suite calls. Reports are written from one template per
+record, token for token as ``json.dumps(payload, indent=2)`` writes them,
+without the ``json`` package, from the scalar tokens of
+:mod:`bosepauli.writers`. The ``dump`` writers are defined there and
+``named_operator`` in :mod:`bosepauli.blocks`; this module re-exports them.
 """
 
 from __future__ import annotations
 
-import importlib
 import io
-import math
 import sys
 from typing import NamedTuple
 
-try:  # the C accelerator that json.encoder wraps, without loading the json package
-    from _json import encode_basestring_ascii
-except ImportError:
-    from json.encoder import encode_basestring_ascii
-
-from ._choices import DUMPABLE_OPERATORS, RESOLUTION_VARIANTS
+from . import _lazy
+from ._choices import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS  # noqa: F401 (choices re-exported)
 from ._version import __version__
 from .fock import FockSpace
+from .writers import _token, matrix_to_csv, matrix_to_json  # noqa: F401 (the writers are re-exported)
 
-# name -> the domain module it comes from, imported on first use (PEP 562).
-# The suites read these names as attributes of this module, through ``_this``,
-# so that a wrapper set on the module attribute is the one they call.
+# name -> the domain module it comes from, imported on first use (PEP 562);
+# ``named_operator`` is only re-exported. The suites read the others as
+# attributes of this module, through ``_this``, so that a wrapper set on the
+# module attribute is the one they call.
 _DOMAIN_NAMES = {
-    "BosonizationParams": "pauli",
-    "_entries": "pauli",
-    "_named_blocks": "pauli",
+    "BosonizationParams": "blocks",
+    "named_operator": "blocks",
     "algebra_residuals": "pauli",
     "verify_functional_equation": "pauli",
     "GrassmannScalar": "grassmann",
@@ -41,45 +37,13 @@ _DOMAIN_NAMES = {
     "resolution_residual": "quadrature",
 }
 _this = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _DOMAIN_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(importlib.import_module(f".{_DOMAIN_NAMES[name]}", __package__), name)
-    return value
+__getattr__ = _lazy(globals(), _DOMAIN_NAMES)
 
 
 FUNCTIONAL_EQUATION_N_MAX = 1000
-_QUADRATURE_TOLERANCE = 1e-12  # the default of quadrature_suite and of ``quadrature --tol``
 DEFAULT_GRASSMANN_SOUL = 1.0 + 1.0j
 
 CSV_COLUMNS = ("identity_id", "paper_eq", "dim", "l", "variant", "residual", "tolerance", "pass")
-
-
-def _token(value) -> str:
-    """One JSON scalar, spelled as ``json.dumps`` spells it."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == math.inf:
-            return "Infinity"
-        if value == -math.inf:
-            return "-Infinity"
-        return float.__repr__(value)
-    if isinstance(value, (list, tuple, dict)):
-        raise TypeError(f"report params hold JSON scalars, not {type(value).__name__}")
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class CheckRecord(NamedTuple):
@@ -104,7 +68,10 @@ class CheckRecord(NamedTuple):
         """``params`` as ``json.dumps(params, sort_keys=True)`` writes it, which
         orders a report's records after ``identity_id``, and as
         ``json.dumps(payload, indent=2)`` writes it inside a report's records,
-        from one formatting of ``params``, which holds scalars."""
+        from one formatting of ``params``, which holds scalars under text keys."""
+        bad = [key for key in self.params if not isinstance(key, str)]
+        if bad:  # json.dumps writes such a key as text; printed bare it is not JSON
+            raise TypeError(f"report params keys are strings, not {bad[0]!r}")
         texts = {key: f"{_token(key)}: {_token(value)}" for key, value in self.params.items()}
         indented = "{\n        " + ",\n        ".join(texts.values()) + "\n      }" if texts else "{}"
         return "{" + ", ".join([texts[key] for key in sorted(texts)]) + "}", indented
@@ -240,52 +207,3 @@ def grassmann_suite(dims: list[int], ls: list[int]) -> VerificationReport:
             residual = max(_this.eigen_check(FockSpace(dim), l, xi))
             records.append(CheckRecord("sigma_minus_grassmann_eigenpair", "(37)-(38)", params, residual, 0.0))
     return VerificationReport(records)
-
-
-def named_operator(name: str, dim: int, l: int) -> list[tuple[int, int, complex]]:
-    """Nonzero ``(row, col, value)`` entries, in row-major order, of a dump
-    target on an even-dimensional space."""
-    return _this._entries(_this._named_blocks(name, _this.BosonizationParams(l, FockSpace(dim))))
-
-
-def _row_major(shape: tuple[int, int], entries):
-    """``entries``, each checked to lie inside ``shape`` and to follow the one before in row-major order."""
-    last = (-1, -1)
-    for entry in entries:
-        i, j, _ = entry
-        if not (0 <= i < shape[0] and 0 <= j < shape[1]):
-            raise ValueError(f"entry {entry!r} lies outside the {shape[0]}x{shape[1]} matrix")
-        if (i, j) <= last:
-            raise ValueError(f"entry {entry!r} does not follow entry ({last[0]}, {last[1]}) in row-major order")
-        last = i, j
-        yield entry
-
-
-def matrix_to_json(shape: tuple[int, int], entries, out) -> None:
-    """Write the ``shape`` matrix with the nonzero ``(row, col, value)`` entries,
-    strictly increasing in ``(row, col)``, to the text stream ``out`` as a JSON
-    array of rows of [re, im] pairs, one row per write. Each row is one
-    all-zero row with its entries cut in, so the writer holds one row, never
-    the matrix. Adding 0.0 prints -0.0 as 0.0, so a dump does not depend on
-    how it was built."""
-    rows, cols = shape
-    zero = "[" + ", ".join(["[0.0, 0.0]"] * cols) + "]"  # zero token j is zero[1 + 12 j : 11 + 12 j]
-    entries = _row_major(shape, entries)
-    entry = next(entries, None)
-    out.write("[")
-    for i in range(rows):
-        row, at = [], 0
-        while entry is not None and entry[0] == i:
-            _, j, value = entry
-            row += (zero[at : 1 + 12 * j], f"[{_token(value.real + 0.0)}, {_token(value.imag + 0.0)}]")
-            at, entry = 11 + 12 * j, next(entries, None)
-        row += (zero[at:], ", " if i + 1 < rows else "")
-        out.write("".join(row))
-    out.write("]")
-
-
-def matrix_to_csv(entries) -> str:
-    """Sparse triplet lines ``row,col,re,im`` of the nonzero ``(row, col,
-    value)`` entries; zero parts print unsigned."""
-    lines = [f"{i},{j},{value.real + 0.0:.12g},{value.imag + 0.0:.12g}" for i, j, value in entries]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -20,7 +20,7 @@ from bosepauli import (
     sigma_minus,
     sigma_minus_eigenket,
 )
-from bosepauli import cli, pauli
+from bosepauli import blocks, cli
 
 
 def test_generator_squares_to_zero():
@@ -272,12 +272,12 @@ BLOCK_ZERO_DEFECTS = {
 
 @pytest.mark.parametrize("defect", BLOCK_ZERO_DEFECTS)
 def test_a_block_zero_defect_fails_the_eigen_check_and_the_cli(monkeypatch, defect):
-    lowering_block = pauli._lowering_block
+    lowering_block = blocks._lowering_block
 
     def defective(n, l):
         return BLOCK_ZERO_DEFECTS[defect] if n == 0 else lowering_block(n, l)
 
-    monkeypatch.setattr(pauli, "_lowering_block", defective)
+    monkeypatch.setattr(blocks, "_lowering_block", defective)
     for l in (1, 2, 3):
         for dim in (2, 8, 64):
             for soul in (1, 1 + 1j, 1e300):
@@ -293,7 +293,7 @@ def test_a_block_zero_defect_fails_the_eigen_check_and_the_cli(monkeypatch, defe
 
 def test_a_defect_above_block_zero_leaves_the_eigen_check_exact(monkeypatch):
     # the eigenket is zero above level 1, so no other block can reach it
-    lowering_block = pauli._lowering_block
-    monkeypatch.setattr(pauli, "_lowering_block", lambda n, l: (1, 1, 1, 1) if n > 0 else lowering_block(n, l))
+    lowering_block = blocks._lowering_block
+    monkeypatch.setattr(blocks, "_lowering_block", lambda n, l: (1, 1, 1, 1) if n > 0 else lowering_block(n, l))
     for dim in (4, 64):
         assert eigen_check(FockSpace(dim), 1, THETA) == _dense_eigen_check(FockSpace(dim), 1, THETA) == (0.0, 0.0)

@@ -24,6 +24,7 @@ from bosepauli import (
     two_level_restriction,
     verify_functional_equation,
 )
+import bosepauli.blocks
 from bosepauli import pauli
 from bosepauli.pauli import _Block, _direct_sum, _entries
 
@@ -360,7 +361,7 @@ def _stack_catalog(params, modulus=np.abs):
     # reference: the whole identity catalog on (dim/2, 2, 2) numpy stacks of
     # every pair block, with the residual of each identity on each block
     pairs = params.space.dim // 2
-    minus = np.array([pauli._lowering_block(n, params.l) for n in range(pairs)], dtype=complex).reshape(pairs, 2, 2)
+    minus = np.array([bosepauli.blocks._lowering_block(n, params.l) for n in range(pairs)], dtype=complex).reshape(pairs, 2, 2)
     plus = dagger(minus)
     ops = pauli.PauliSet(minus, plus, plus + minus, -1j * (plus - minus), _diagonal_stack(-1.0, 1.0, pairs))
     eye, zero = _diagonal_stack(1.0, 1.0, pairs), _diagonal_stack(0.0, 0.0, pairs)
@@ -417,7 +418,7 @@ _GAUSSIAN_UNIT_BLOCK = st.tuples(*[st.sampled_from((0, 1, -1, 1j, -1j, 0.5, 0.25
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 40), st.dictionaries(st.integers(0, 39), _GAUSSIAN_UNIT_BLOCK, max_size=4))
 def test_class_catalog_matches_the_stack_catalog_on_defective_blocks(l, pairs, defects):
-    lowering_block = pauli._lowering_block
+    lowering_block = bosepauli.blocks._lowering_block
 
     def defective(n, exponent):
         return defects.get(n) or lowering_block(n, exponent)
@@ -426,11 +427,11 @@ def test_class_catalog_matches_the_stack_catalog_on_defective_blocks(l, pairs, d
     # differently; the reference takes it as the catalog does, so only the
     # block arithmetic is compared.
     python_abs = np.vectorize(abs, otypes=[float])
-    original, pauli._lowering_block = pauli._lowering_block, defective
+    original, bosepauli.blocks._lowering_block = bosepauli.blocks._lowering_block, defective
     try:
         _assert_matches_stack_catalog(_params(l, 2 * pairs), python_abs)
     finally:
-        pauli._lowering_block = original
+        bosepauli.blocks._lowering_block = original
 
 
 # ------------------------------------------------------------- pair blocks

@@ -29,7 +29,7 @@ from bosepauli import (
     sigma_three,
     verify_functional_equation,
 )
-from bosepauli import cli, pauli
+from bosepauli import blocks, cli, pauli
 from bosepauli.report import (
     CSV_COLUMNS,
     DUMPABLE_OPERATORS,
@@ -383,7 +383,7 @@ def test_algebra_suite_matches_per_dim_catalog_runs():
 
 @pytest.mark.parametrize("block", (0, 1, 7, 31, 127))
 def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(monkeypatch, block):
-    lowering_block = pauli._lowering_block
+    lowering_block = blocks._lowering_block
 
     def defective(n, l):
         entries = lowering_block(n, l)
@@ -391,7 +391,7 @@ def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(mon
             entries = tuple(e + d for e, d in zip(entries, (0.25, 0.0, 0.5j, 0.0)))
         return entries
 
-    monkeypatch.setattr(pauli, "_lowering_block", defective)
+    monkeypatch.setattr(blocks, "_lowering_block", defective)
     ls = [1, 2]
     fast = algebra_suite(SWEEP_DIMS, ls)
     assert fast.to_json() == _per_dim_algebra_suite(SWEEP_DIMS, ls).to_json()
@@ -731,6 +731,42 @@ def test_cli_library_value_errors_name_the_subcommand(capsys, monkeypatch):
     assert usage[0].startswith("usage: bosepauli quadrature [-h]")
 
 
+# each name perfbench/tracing.py wraps on bosepauli.cli -> an argv whose run calls it once
+CLI_ENTRY_POINTS = {
+    "algebra_suite": ("verify", "--dims", "2,4", "--ls", "1,2"),
+    "quadrature_suite": ("quadrature", "--dim", "4", "--radial", "4", "--angular", "8"),
+    "grassmann_suite": ("grassmann", "--dims", "2,4", "--ls", "1,2"),
+    "named_operator": ("dump", "--op", "sigma_plus", "--dim", "4", "--l", "3"),
+    "matrix_to_json": ("dump", "--op", "sigma_plus", "--dim", "4", "--l", "3"),
+    "matrix_to_csv": ("dump", "--op", "p_odd", "--dim", "4", "--format", "csv"),
+}
+
+
+def test_cli_entry_points_resolve_to_the_objects_their_modules_define(monkeypatch):
+    from bosepauli import report, writers
+
+    defined_in = {"algebra_suite": report, "quadrature_suite": report, "grassmann_suite": report}
+    defined_in.update(named_operator=blocks, matrix_to_json=writers, matrix_to_csv=writers)
+    assert set(defined_in) == set(CLI_ENTRY_POINTS)
+    for name, module in defined_in.items():
+        monkeypatch.delitem(vars(cli), name, raising=False)  # resolved afresh, on first use
+        assert getattr(cli, name) is getattr(module, name) is getattr(report, name)
+    with pytest.raises(AttributeError, match="module 'bosepauli.cli' has no attribute 'pauli_set'"):
+        cli.pauli_set
+
+
+@pytest.mark.parametrize("name", CLI_ENTRY_POINTS)
+def test_cli_main_calls_the_entry_point_set_on_the_module(capsys, monkeypatch, name):
+    argv = list(CLI_ENTRY_POINTS[name])
+    assert cli.main(argv) == 0
+    expected = capsys.readouterr().out
+    original, calls = getattr(cli, name), []
+    monkeypatch.setattr(cli, name, lambda *args: calls.append(args) or original(*args))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "command, code",
     # a one-node rule does not resolve dim 4, so its quadrature residuals are not 0
@@ -1000,39 +1036,10 @@ NUMPY_FREE_RUNS = {
 }
 
 
-@pytest.mark.parametrize("args", NUMPY_FREE_RUNS)
-def test_verify_and_help_import_no_numpy(args):
-    proc = _run_from_source_tree("-X", "importtime", "-m", "bosepauli", *args)
-    assert proc.returncode == NUMPY_FREE_RUNS[args]
-    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
-    assert "bosepauli.cli" in modules
-    assert [name for name in modules if name == "numpy" or name.startswith("numpy.")] == []
-    assert [name for name in modules if name in ("dataclasses", "inspect")] == []
-
-
-_DOMAIN = ("bosepauli.pauli", "bosepauli.grassmann", "bosepauli.quadrature")
-# no subcommand calls the coherent layer
-_NEVER = ("bosepauli.coherent", "json")
-# argparse and what it imports, loaded only for help and usage errors
-_ARGPARSE = ("argparse", "gettext", "locale")
-# argv (each also a NUMPY_FREE_RUNS argv) -> (the modules its process loads
-# beyond cli and report, the modules it must not load)
-LOADED_MODULES = {
-    ("--help",): (_ARGPARSE[:1], (*_DOMAIN, *_NEVER)),
-    **{args: (_DOMAIN[2:], (*_DOMAIN[:2], *_NEVER, *_ARGPARSE)) for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
-    ("verify", "--dims", "2,4", "--ls", "1,2"): (_DOMAIN[:1], (*_DOMAIN[1:], *_NEVER, *_ARGPARSE)),
-    ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): (_DOMAIN[:1], (*_DOMAIN[1:], *_NEVER, *_ARGPARSE)),
-    ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): (_DOMAIN[:1], (*_DOMAIN[1:], *_NEVER, *_ARGPARSE)),
-    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): (_DOMAIN[:2], (_DOMAIN[2], *_NEVER, *_ARGPARSE)),
-    # each subcommand's own checks reject these after parsing, before any domain module loads
-    **{(command, *USAGE_ERRORS[command][0]): (_ARGPARSE[:1], (*_DOMAIN, *_NEVER)) for command in USAGE_ERRORS},
-}
-
-
-@pytest.mark.parametrize("args", LOADED_MODULES)
-def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
-    # sys.modules at the exit of a real `python -m bosepauli` process, written by
-    # a sitecustomize module on its path; -X importtime does not log every import
+def _run_recording_modules(tmp_path, *args):
+    # a real `python -m bosepauli` process and its sys.modules at exit, written by a
+    # sitecustomize module on its path; -X importtime does not log the modules
+    # loaded through importlib.import_module, as the package's lazy names are
     (tmp_path / "sitecustomize.py").write_text(
         "import atexit, sys\n"
         f"atexit.register(lambda: open({str(tmp_path / 'modules.txt')!r}, 'w').write('\\n'.join(sys.modules)))\n"
@@ -1040,10 +1047,57 @@ def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
     src = os.path.dirname(os.path.dirname(pauli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], capture_output=True, text=True, env=env)
+    return proc, set((tmp_path / "modules.txt").read_text().split("\n"))
+
+
+@pytest.mark.parametrize("args", NUMPY_FREE_RUNS)
+def test_verify_and_help_import_no_numpy(args, tmp_path):
+    proc, modules = _run_recording_modules(tmp_path, *args)
     assert proc.returncode == NUMPY_FREE_RUNS[args], proc.stderr
-    modules = set((tmp_path / "modules.txt").read_text().split("\n"))
+    assert "bosepauli.cli" in modules
+    assert [name for name in modules if name == "numpy" or name.startswith("numpy.")] == []
+    assert [name for name in modules if name in ("dataclasses", "inspect")] == []
+
+
+# the package modules a process may load beyond cli, _choices and _version
+_PACKAGE = {name: f"bosepauli.{name}" for name in ("report", "writers", "fock", "blocks", "pauli", "grassmann", "quadrature")}
+# no subcommand calls the coherent layer
+_NEVER = ("bosepauli.coherent", "json")
+# argparse and what it imports, loaded only for help and usage errors
+_ARGPARSE = ("argparse", "gettext", "locale")
+
+
+def _only(*names, argparse=False):
+    # (the modules a process loads beyond cli, the modules it must not load):
+    # of the package modules, ``names`` and no other
+    loaded = tuple(_PACKAGE[name] for name in names)
+    unused = tuple(module for module in _PACKAGE.values() if module not in loaded)
+    if argparse:
+        return (*loaded, "argparse"), (*unused, *_NEVER)
+    return loaded, (*unused, *_NEVER, *_ARGPARSE)
+
+
+_DUMP_MODULES = _only("writers", "fock", "blocks")
+# argv (each also a NUMPY_FREE_RUNS argv) -> (the modules its process loads
+# beyond cli, the modules it must not load)
+LOADED_MODULES = {
+    ("--help",): _only(argparse=True),
+    **{args: _only("report", "writers", "fock", "quadrature") for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
+    ("verify", "--dims", "2,4", "--ls", "1,2"): _only("report", "writers", "fock", "blocks", "pauli"),
+    ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): _DUMP_MODULES,
+    ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): _DUMP_MODULES,
+    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): _only("report", "writers", "fock", "blocks", "grassmann"),
+    # each subcommand's own checks reject these after parsing, before any entry point loads
+    **{(command, *USAGE_ERRORS[command][0]): _only(argparse=True) for command in USAGE_ERRORS},
+}
+
+
+@pytest.mark.parametrize("args", LOADED_MODULES)
+def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
+    proc, modules = _run_recording_modules(tmp_path, *args)
+    assert proc.returncode == NUMPY_FREE_RUNS[args], proc.stderr
     loaded, absent = LOADED_MODULES[args]
-    assert {"bosepauli.cli", "bosepauli.report", *loaded} <= modules
+    assert {"bosepauli.cli", *loaded} <= modules
     assert modules.isdisjoint(absent)
 
 
