@@ -9,13 +9,24 @@ the certificates (``FockSpace``, ``BosonizationParams``, the identity
 catalog, the functional equation, the quadrature grid and residual, the
 Grassmann eigenvector check and the report records) and all four subcommands
 run without numpy; only the dense constructors import it, when called.
+
+The version and the names and defaults the command line offers are defined
+here, since every process loads this module; the modules that use them
+import them from it.
 """
 
 import importlib
 
-from ._version import __version__
+__version__ = "0.1.0"
 
-# public name -> the module that defines it, in the order of __all__
+# ``dump`` targets; ``blocks`` holds the pair blocks of each
+DUMPABLE_OPERATORS = ("sigma_minus", "sigma_plus", "sigma_three", "p_even", "p_odd")
+# the cat-state resolutions of identity, (23) plain and (28) phased, that ``quadrature`` certifies
+RESOLUTION_VARIANTS = ("even-plain", "odd-plain", "even-phased", "odd-phased")
+# the default of ``report.quadrature_suite`` and of ``quadrature --tol``
+_QUADRATURE_TOLERANCE = 1e-12
+
+# public name -> the module that defines it, imported on first use
 _EXPORTS = {
     "FockSpace": "fock",
     "annihilator": "fock",
@@ -44,7 +55,6 @@ _EXPORTS = {
     "phase_relation_residual": "coherent",
     "QuadratureGrid": "quadrature",
     "quadrature_grid": "quadrature",
-    "RESOLUTION_VARIANTS": "_choices",
     "resolution_residual": "quadrature",
     "nonlinear_coherent_ket": "coherent",
     "deformed_annihilator": "coherent",
@@ -63,7 +73,7 @@ _EXPORTS = {
     "quadrature_suite": "report",
     "grassmann_suite": "report",
 }
-__all__ = ["__version__", *_EXPORTS]
+__all__ = ["__version__", "RESOLUTION_VARIANTS", *_EXPORTS]
 
 
 def _lazy(namespace: dict, table: dict[str, str]):

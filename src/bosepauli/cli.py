@@ -17,8 +17,7 @@ import os
 import sys
 import types
 
-from . import _lazy
-from ._choices import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS
+from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _lazy
 
 # entry point -> the module that defines it, imported on first use (PEP 562),
 # so --help and usage errors load none of them. ``_dispatch`` calls them as
@@ -29,8 +28,8 @@ _ENTRY_POINTS = {
     "quadrature_suite": "report",
     "grassmann_suite": "report",
     "named_operator": "blocks",
-    "matrix_to_json": "writers",
-    "matrix_to_csv": "writers",
+    "matrix_to_json": "blocks",
+    "matrix_to_csv": "blocks",
 }
 _this = sys.modules[__name__]
 __getattr__ = _lazy(globals(), _ENTRY_POINTS)

@@ -25,7 +25,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import blocks
-from .blocks import _DIAGONAL_BLOCKS, DUMPABLE_OPERATORS, BosonizationParams, _Block, _cos_half_pi, _entries, _named_blocks
+from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, _entries, _named_blocks
 from .fock import FockSpace, anticommutator, commutator
 
 if TYPE_CHECKING:

@@ -21,7 +21,7 @@ import math
 from operator import mul
 from typing import NamedTuple
 
-from ._choices import RESOLUTION_VARIANTS
+from . import RESOLUTION_VARIANTS
 from .fock import FockSpace
 
 _NEWTON_STEPS = 100  # per Newton solve; converged ones take a handful

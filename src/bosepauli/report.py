@@ -5,30 +5,29 @@ None of them imports numpy. The domain modules (``pauli``, ``grassmann``,
 ``quadrature`` and ``blocks``) load on first use, so a subcommand's process
 loads only those its suite calls. Reports are written from one template per
 record, token for token as ``json.dumps(payload, indent=2)`` writes them,
-without the ``json`` package, from the scalar tokens of
-:mod:`bosepauli.writers`. The ``dump`` writers are defined there and
-``named_operator`` in :mod:`bosepauli.blocks`; this module re-exports them.
+without the ``json`` package, from the scalar tokens of :func:`_token`.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import sys
 from typing import NamedTuple
 
-from . import _lazy
-from ._choices import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS  # noqa: F401 (choices re-exported)
-from ._version import __version__
+from . import _QUADRATURE_TOLERANCE, __version__, _lazy
 from .fock import FockSpace
-from .writers import _token, matrix_to_csv, matrix_to_json  # noqa: F401 (the writers are re-exported)
 
-# name -> the domain module it comes from, imported on first use (PEP 562);
-# ``named_operator`` is only re-exported. The suites read the others as
-# attributes of this module, through ``_this``, so that a wrapper set on the
-# module attribute is the one they call.
+try:  # the C accelerator that json.encoder wraps, without loading the json package
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
+
+# name -> the domain module it comes from, imported on first use (PEP 562).
+# The suites read these as attributes of this module, through ``_this``, so
+# that a wrapper set on the module attribute is the one they call.
 _DOMAIN_NAMES = {
     "BosonizationParams": "blocks",
-    "named_operator": "blocks",
     "algebra_residuals": "pauli",
     "verify_functional_equation": "pauli",
     "GrassmannScalar": "grassmann",
@@ -44,6 +43,31 @@ FUNCTIONAL_EQUATION_N_MAX = 1000
 DEFAULT_GRASSMANN_SOUL = 1.0 + 1.0j
 
 CSV_COLUMNS = ("identity_id", "paper_eq", "dim", "l", "variant", "residual", "tolerance", "pass")
+
+
+def _token(value) -> str:
+    """One JSON scalar, spelled as ``json.dumps`` spells it."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == math.inf:
+            return "Infinity"
+        if value == -math.inf:
+            return "-Infinity"
+        return float.__repr__(value)
+    if isinstance(value, (list, tuple, dict)):
+        raise TypeError(f"report params hold JSON scalars, not {type(value).__name__}")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 class CheckRecord(NamedTuple):

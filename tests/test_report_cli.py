@@ -29,18 +29,15 @@ from bosepauli import (
     sigma_three,
     verify_functional_equation,
 )
-from bosepauli import blocks, cli, pauli
+from bosepauli import DUMPABLE_OPERATORS, blocks, cli, pauli
+from bosepauli.blocks import matrix_to_csv, matrix_to_json, named_operator
 from bosepauli.report import (
     CSV_COLUMNS,
-    DUMPABLE_OPERATORS,
     FUNCTIONAL_EQUATION_N_MAX,
     CheckRecord,
     VerificationReport,
     algebra_suite,
     grassmann_suite,
-    matrix_to_csv,
-    matrix_to_json,
-    named_operator,
     quadrature_suite,
 )
 
@@ -498,6 +495,11 @@ BAD_ENTRIES = {
     "out of range": ([(0, 1, 1 + 0j), (0, 2, 2 + 0j)], "entry (0, 2, (2+0j)) lies outside the 2x2 matrix"),
     "duplicate": ([(0, 1, 1 + 0j), (0, 1, 2 + 0j)], "entry (0, 1, (2+0j)) does not follow entry (0, 1) in row-major order"),
     "out of order": ([(1, 0, 1 + 0j), (0, 1, 2 + 0j)], "entry (0, 1, (2+0j)) does not follow entry (1, 0) in row-major order"),
+    "NaN real part": ([(0, 1, complex(math.nan, 1.0))], "entry (0, 1, (nan+1j)) has a part that is not finite, which JSON cannot hold"),
+    "infinite imaginary part": (
+        [(0, 0, 1 + 0j), (1, 0, complex(2.0, -math.inf))],
+        "entry (1, 0, (2-infj)) has a part that is not finite, which JSON cannot hold",
+    ),
 }
 
 
@@ -553,7 +555,15 @@ _SHAPE = st.one_of(
 
 @given(arrays(np.complex128, _SHAPE, elements=_ENTRY))
 def test_matrix_json_matches_whole_matrix_dump_on_sparse_matrices(op):
-    assert _matrix_json(op.shape, _nonzero_entries(op)) == _whole_matrix_json(op)
+    entries = _nonzero_entries(op)
+    nonfinite = [entry for entry in entries if not (math.isfinite(entry[2].real) and math.isfinite(entry[2].imag))]
+    if not nonfinite:
+        assert _matrix_json(op.shape, entries) == _whole_matrix_json(op)
+        return
+    # json.dumps would print a bare NaN or Infinity, which is not JSON
+    with pytest.raises(ValueError) as error:
+        _matrix_json(op.shape, entries)
+    assert str(error.value) == f"entry {nonfinite[0]!r} has a part that is not finite, which JSON cannot hold"
 
 
 def _dense_named_operator(name, dim, l):
@@ -743,14 +753,14 @@ CLI_ENTRY_POINTS = {
 
 
 def test_cli_entry_points_resolve_to_the_objects_their_modules_define(monkeypatch):
-    from bosepauli import report, writers
+    from bosepauli import report
 
     defined_in = {"algebra_suite": report, "quadrature_suite": report, "grassmann_suite": report}
-    defined_in.update(named_operator=blocks, matrix_to_json=writers, matrix_to_csv=writers)
+    defined_in.update(named_operator=blocks, matrix_to_json=blocks, matrix_to_csv=blocks)
     assert set(defined_in) == set(CLI_ENTRY_POINTS)
     for name, module in defined_in.items():
         monkeypatch.delitem(vars(cli), name, raising=False)  # resolved afresh, on first use
-        assert getattr(cli, name) is getattr(module, name) is getattr(report, name)
+        assert getattr(cli, name) is getattr(module, name)
     with pytest.raises(AttributeError, match="module 'bosepauli.cli' has no attribute 'pauli_set'"):
         cli.pauli_set
 
@@ -1059,8 +1069,8 @@ def test_verify_and_help_import_no_numpy(args, tmp_path):
     assert [name for name in modules if name in ("dataclasses", "inspect")] == []
 
 
-# the package modules a process may load beyond cli, _choices and _version
-_PACKAGE = {name: f"bosepauli.{name}" for name in ("report", "writers", "fock", "blocks", "pauli", "grassmann", "quadrature")}
+# the package modules a process may load beyond the package and cli
+_PACKAGE = {name: f"bosepauli.{name}" for name in ("report", "fock", "blocks", "pauli", "grassmann", "quadrature")}
 # no subcommand calls the coherent layer
 _NEVER = ("bosepauli.coherent", "json")
 # argparse and what it imports, loaded only for help and usage errors
@@ -1077,16 +1087,16 @@ def _only(*names, argparse=False):
     return loaded, (*unused, *_NEVER, *_ARGPARSE)
 
 
-_DUMP_MODULES = _only("writers", "fock", "blocks")
+_DUMP_MODULES = _only("fock", "blocks")
 # argv (each also a NUMPY_FREE_RUNS argv) -> (the modules its process loads
 # beyond cli, the modules it must not load)
 LOADED_MODULES = {
     ("--help",): _only(argparse=True),
-    **{args: _only("report", "writers", "fock", "quadrature") for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
-    ("verify", "--dims", "2,4", "--ls", "1,2"): _only("report", "writers", "fock", "blocks", "pauli"),
+    **{args: _only("report", "fock", "quadrature") for args in NUMPY_FREE_RUNS if args[0] == "quadrature"},
+    ("verify", "--dims", "2,4", "--ls", "1,2"): _only("report", "fock", "blocks", "pauli"),
     ("dump", "--op", "sigma_minus", "--dim", "64", "--format", "json"): _DUMP_MODULES,
     ("dump", "--op", "p_odd", "--dim", "64", "--format", "csv"): _DUMP_MODULES,
-    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): _only("report", "writers", "fock", "blocks", "grassmann"),
+    ("grassmann", "--dims", "256,512,1024", "--ls", "3,4"): _only("report", "fock", "blocks", "grassmann"),
     # each subcommand's own checks reject these after parsing, before any entry point loads
     **{(command, *USAGE_ERRORS[command][0]): _only(argparse=True) for command in USAGE_ERRORS},
 }
@@ -1103,10 +1113,10 @@ def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
 
 def test_choice_tuples_have_one_definition_under_every_name():
     import bosepauli
-    from bosepauli import _choices, quadrature, report
+    from bosepauli import quadrature
 
-    assert bosepauli.RESOLUTION_VARIANTS is quadrature.RESOLUTION_VARIANTS is report.RESOLUTION_VARIANTS is _choices.RESOLUTION_VARIANTS
-    assert pauli.DUMPABLE_OPERATORS is report.DUMPABLE_OPERATORS is cli.DUMPABLE_OPERATORS is _choices.DUMPABLE_OPERATORS
+    assert bosepauli.RESOLUTION_VARIANTS is cli.RESOLUTION_VARIANTS is quadrature.RESOLUTION_VARIANTS
+    assert bosepauli.DUMPABLE_OPERATORS is cli.DUMPABLE_OPERATORS is blocks.DUMPABLE_OPERATORS
     assert set(DUMPABLE_OPERATORS) == {"sigma_minus", "sigma_plus", *pauli._DIAGONAL_BLOCKS}
 
 
