@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -133,6 +134,22 @@ def test_params_validation():
         BosonizationParams(0, FockSpace(4))
     with pytest.raises(ValueError):
         BosonizationParams(2, FockSpace(5))
+
+
+EXPONENT_ENTRIES = {
+    "BosonizationParams": lambda l: BosonizationParams(l, FockSpace(4)),
+    "f_coefficient": lambda l: f_coefficient(1, l),
+    "verify_functional_equation": lambda l: verify_functional_equation(l, 5),
+}
+
+
+@pytest.mark.parametrize("l", (0, -1, 1.5, True, "2"), ids=repr)
+@pytest.mark.parametrize("entry", EXPONENT_ENTRIES)
+def test_every_exponent_entry_rejects_a_bad_l_with_one_message(entry, l):
+    # a bool is an int to isinstance, and l = 0, -1 or 1.5 once fell through to a
+    # ZeroDivisionError or a silent residual
+    with pytest.raises(ValueError, match=re.escape(f"exponent l must be a positive integer, got {l!r}")):
+        EXPONENT_ENTRIES[entry](l)
 
 
 def test_sigma_minus_even_exponent_matrix():
