@@ -8,7 +8,7 @@ to share across threads. The public names load on first use (PEP 562), so
 the certificates (``FockSpace``, ``BosonizationParams``, the identity
 catalog, the functional equation, the quadrature grid and residual, the
 Grassmann eigenvector check and the report records) and all four subcommands
-run without numpy; only the dense constructors import it, when called.
+run without numpy; only ``coherent`` and the dense constructors import it.
 
 The version and the names and defaults the command line offers are defined
 here, since every process loads this module; the modules that use them
@@ -29,14 +29,14 @@ _QUADRATURE_TOLERANCE = 1e-12
 # public name -> the module that defines it, imported on first use
 _EXPORTS = {
     "FockSpace": "fock",
-    "annihilator": "fock",
-    "creator": "fock",
-    "number_operator": "fock",
-    "dagger": "fock",
-    "commutator": "fock",
-    "anticommutator": "fock",
-    "max_abs_norm": "fock",
-    "fock_ket": "fock",
+    "annihilator": "coherent",
+    "creator": "coherent",
+    "number_operator": "coherent",
+    "dagger": "coherent",
+    "commutator": "pauli",
+    "anticommutator": "pauli",
+    "max_abs_norm": "coherent",
+    "fock_ket": "grassmann",
     "BosonizationParams": "blocks",
     "PauliSet": "pauli",
     "IdentityCheck": "pauli",

@@ -20,6 +20,13 @@ def _cos_half_pi(n: int) -> int:
     return (1, 0, -1, 0)[n % 4]
 
 
+def _exponent(l: int) -> int:
+    """``l``, checked to be an ``int`` of at least 1; a ``bool`` is not one."""
+    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
+        raise ValueError(f"exponent l must be a positive integer, got {l!r}")
+    return l
+
+
 class BosonizationParams(NamedTuple("BosonizationParams", [("l", int), ("space", FockSpace)])):
     """Exponent ``l >= 1`` together with an even-dimensional space.
 
@@ -31,8 +38,7 @@ class BosonizationParams(NamedTuple("BosonizationParams", [("l", int), ("space",
     __slots__ = ()
 
     def __new__(cls, l: int, space: FockSpace):
-        if not isinstance(l, int) or l < 1:
-            raise ValueError(f"exponent l must be a positive integer, got {l!r}")
+        _exponent(l)
         if space.dim % 2 != 0:
             raise ValueError(f"dim={space.dim} is odd; the pseudospin algebra only closes on even truncations")
         return super().__new__(cls, l, space)

@@ -1,5 +1,6 @@
 """Coherent states, even/odd cat states and nonlinear (f-deformed) coherent
-states on the truncated space, as numpy arrays.
+states on the truncated space, as numpy arrays, with the dense ladder and
+number operators, ``dagger`` and the residual statistic ``max_abs_norm``.
 
 The even and odd kets keep the plain coherent prefactor ``exp(-|z|^2/2)``
 and are therefore not unit vectors (``<z|z>_e = exp(-|z|^2) cosh|z|^2``).
@@ -21,9 +22,41 @@ import sys
 
 import numpy as np
 
-from .fock import FockSpace, max_abs_norm
+from .fock import FockSpace
 
 _LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
+
+
+def annihilator(space: FockSpace) -> np.ndarray:
+    """Lowering operator with ``a|n> = sqrt(n)|n-1>`` and ``a|0> = 0``."""
+    return np.diag(np.sqrt(np.arange(1, space.dim)), 1).astype(complex)
+
+
+def creator(space: FockSpace) -> np.ndarray:
+    """Raising operator, the adjoint of :func:`annihilator`.
+
+    Truncation convention: the top level ``|dim-1>`` is sent to the zero
+    vector instead of leaving the space.
+    """
+    return dagger(annihilator(space))
+
+
+def number_operator(space: FockSpace) -> np.ndarray:
+    """Number operator ``diag(0, 1, ..., dim-1)``."""
+    return np.diag(np.arange(space.dim)).astype(complex)
+
+
+def dagger(op: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix."""
+    return op.conj().swapaxes(-1, -2)
+
+
+def max_abs_norm(arr: np.ndarray) -> float:
+    """Largest entrywise modulus, the residual statistic used throughout."""
+    arr = np.asarray(arr)
+    if arr.size == 0:
+        return 0.0
+    return float(np.max(np.abs(arr)))
 
 
 def _ladder_amplitudes(z: complex, first, divisors: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ entries; a ket with Grassmann amplitudes is stored as the pair of complex
 coefficient vectors (body, soul). The eigenvector check needs no numpy: the
 eigenket of ``sigma_-`` lives on levels 0 and 1, so it runs on pair block 0 of
 ``sigma_-`` alone, from :mod:`bosepauli.blocks`, and never loads the identity
-catalog in :mod:`bosepauli.pauli`.
+catalog in :mod:`bosepauli.pauli`. :func:`fock_ket`, the basis ket of
+:func:`sigma_minus_eigenket`, imports numpy when called, as the dense kets do.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from numbers import Number
 from typing import TYPE_CHECKING
 
 from . import blocks  # block 0 is looked up when called, as the catalog's blocks are
-from .fock import FockSpace, fock_ket
+from .fock import FockSpace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -163,6 +164,17 @@ def _eigenket_amplitudes(xi: GrassmannScalar) -> tuple[GrassmannScalar, Grassman
     if not cmath.isfinite(xi.soul):
         raise ValueError(f"a sigma_- eigenvalue must have a finite soul, got {xi.soul!r}")
     return GrassmannScalar(1.0 + 0j), xi
+
+
+def fock_ket(space: FockSpace, n: int) -> np.ndarray:
+    """Basis ket ``|n>``."""
+    import numpy as np
+
+    if not 0 <= n < space.dim:
+        raise IndexError(f"level {n} outside 0..{space.dim - 1}")
+    ket = np.zeros(space.dim, dtype=complex)
+    ket[n] = 1.0
+    return ket
 
 
 def sigma_minus_eigenket(space: FockSpace, xi: GrassmannScalar) -> GrassmannKet:

@@ -13,9 +13,10 @@ fall into at most two distinct classes. The identity catalog runs once per
 class in a process, on 2x2 matrices of Python ``complex`` with entries in
 ``{0, +-1, +-i}``: their products and sums round nowhere, so the catalog is
 exact on every distinct block, and every block of the truncation is one of
-them. That certificate, like the functional equation, needs no numpy. The
-blocks and ``BosonizationParams`` come from :mod:`bosepauli.blocks`. Only the
-public dense constructors import numpy, when called.
+them. That certificate, like the functional equation, needs no numpy: the
+commutators take pair blocks as well as matrices. The blocks, the exponent
+check and ``BosonizationParams`` come from :mod:`bosepauli.blocks`. Only
+the public dense constructors import numpy, when called.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import blocks
-from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, _entries, _named_blocks
-from .fock import FockSpace, anticommutator, commutator
+from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, _entries, _exponent, _named_blocks
+from .fock import FockSpace
 
 if TYPE_CHECKING:
     import numpy as np
@@ -39,7 +40,7 @@ def f_coefficient(n: int, l: int) -> float:
     taken by integer case analysis, never by floating trigonometry, so the
     sign carries no rounding.
     """
-    return _cos_half_pi(n) ** l / math.sqrt(n + 1)
+    return _cos_half_pi(n) ** _exponent(l) / math.sqrt(n + 1)
 
 
 def verify_functional_equation(l: int, n_max: int) -> float:
@@ -52,6 +53,7 @@ def verify_functional_equation(l: int, n_max: int) -> float:
     exactly ``0.0`` when the recurrence holds. Only the terms
     ``n <= min(n_max, 4)`` are evaluated, so any ``n_max >= 0`` costs the same.
     """
+    _exponent(l)
     if n_max < 0:
         raise ValueError(f"n_max={n_max} must be >= 0")
     table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n by n mod 4
@@ -60,14 +62,15 @@ def verify_functional_equation(l: int, n_max: int) -> float:
 
 
 class PauliSet(NamedTuple):
-    """The five pseudospin operators assembled from one ``sigma_-``, either as
-    dense matrices or as one 2x2 pair block."""
+    """The five pseudospin operators assembled from one ``sigma_-``: dense
+    matrices from :func:`pauli_set`, or the ``_Block`` pair blocks of one pair,
+    with which the identity catalog fills them."""
 
-    sigma_minus: np.ndarray
-    sigma_plus: np.ndarray
-    sigma_one: np.ndarray
-    sigma_two: np.ndarray
-    sigma_three: np.ndarray
+    sigma_minus: np.ndarray | _Block
+    sigma_plus: np.ndarray | _Block
+    sigma_one: np.ndarray | _Block
+    sigma_two: np.ndarray | _Block
+    sigma_three: np.ndarray | _Block
 
 
 def _pauli_blocks(lowering: _Block) -> PauliSet:
@@ -145,6 +148,16 @@ def two_level_restriction(op: np.ndarray) -> np.ndarray:
     if op.shape[0] < 2 or op.shape[1] < 2:
         raise ValueError("operator is smaller than two levels")
     return op[:2, :2].copy()
+
+
+def commutator(a: np.ndarray | _Block, b: np.ndarray | _Block) -> np.ndarray | _Block:
+    """``a @ b - b @ a``, for two matrices or two pair blocks."""
+    return a @ b - b @ a
+
+
+def anticommutator(a: np.ndarray | _Block, b: np.ndarray | _Block) -> np.ndarray | _Block:
+    """``a @ b + b @ a``, for two matrices or two pair blocks."""
+    return a @ b + b @ a
 
 
 class IdentityCheck(NamedTuple):

@@ -146,8 +146,7 @@ EXPONENT_ENTRIES = {
 @pytest.mark.parametrize("l", (0, -1, 1.5, True, "2"), ids=repr)
 @pytest.mark.parametrize("entry", EXPONENT_ENTRIES)
 def test_every_exponent_entry_rejects_a_bad_l_with_one_message(entry, l):
-    # a bool is an int to isinstance, and l = 0, -1 or 1.5 once fell through to a
-    # ZeroDivisionError or a silent residual
+    # isinstance(True, int) holds, so a bool needs its own rejection
     with pytest.raises(ValueError, match=re.escape(f"exponent l must be a positive integer, got {l!r}")):
         EXPONENT_ENTRIES[entry](l)
 

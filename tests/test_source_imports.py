@@ -2,13 +2,18 @@
 
 The project ships no linter, so this stands in for the unused-import rule: a
 module that imports a name it never reads, to re-export it or by leftover,
-fails here, and no name needs an exemption comment.
+fails here, and no name needs an exemption comment. The package's export map
+is held to the same rule: each public name loads from the module that
+defines it.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import bosepauli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bosepauli"
 
@@ -56,3 +61,25 @@ def test_the_guard_sees_unused_names_at_module_level_only():
         "    return system.argv, FockSpace, np\n"
     )
     assert unused_imports(source) == ["2: os", "3: fock_ket"]
+
+
+def test_every_export_loads_from_the_module_that_defines_it():
+    # an entry naming a module that only imports the name still resolves, but loads that module too
+    misplaced = {
+        name: getattr(bosepauli, name).__module__
+        for name, module in bosepauli._EXPORTS.items()
+        if getattr(bosepauli, name).__module__ != f"bosepauli.{module}"
+    }
+    assert misplaced == {}
+
+
+def test_fock_space_is_one_object_under_every_module_that_imports_it():
+    importers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for statement in _module_level_imports(ast.parse(path.read_text()))
+        if "FockSpace" in {alias.name for alias in statement.names}
+    ]
+    assert importers
+    for stem in importers:
+        assert importlib.import_module(f"bosepauli.{stem}").FockSpace is bosepauli.FockSpace, stem
