@@ -38,8 +38,11 @@ def f_coefficient(n: int, l: int) -> float:
 
     Zero at odd ``n``, ``(+-1)/sqrt(n+1)`` at even ``n``. The cosine power is
     taken by integer case analysis, never by floating trigonometry, so the
-    sign carries no rounding.
+    sign carries no rounding. A level ``n`` that is not an ``int`` of at least
+    0, a ``bool`` included, is a ``ValueError``.
     """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"level n must be a non-negative integer, got {n!r}")
     return _cos_half_pi(n) ** _exponent(l) / math.sqrt(n + 1)
 
 

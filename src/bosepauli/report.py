@@ -15,7 +15,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from . import _QUADRATURE_TOLERANCE, __version__, _lazy
+from . import _QUADRATURE_TOLERANCE, RESOLUTION_VARIANTS, __version__, _lazy
 from .fock import FockSpace
 
 try:  # the C accelerator that json.encoder wraps, without loading the json package
@@ -207,13 +207,20 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
 def quadrature_suite(
     dim: int, radial: int, angular: int, variants: list[str], tolerance: float = _QUADRATURE_TOLERANCE
 ) -> VerificationReport:
-    """Resolution-of-identity records for the requested variants."""
+    """Resolution-of-identity records for the requested variants, from one
+    residual per parity: a phased residual is the plain one of its parity
+    (see :func:`~bosepauli.quadrature.resolution_residual`)."""
     space = FockSpace(dim)
     grid = _this.quadrature_grid(radial, angular)
     under_resolved = not grid.resolves(dim)
+    residuals = {}
     records = []
     for variant in variants:
-        residual = _this.resolution_residual(space, variant, grid)
+        # an unknown variant keys by itself, so resolution_residual rejects it
+        key = variant.partition("-")[0] if variant in RESOLUTION_VARIANTS else variant
+        if key not in residuals:
+            residuals[key] = _this.resolution_residual(space, variant, grid)
+        residual = residuals[key]
         equation = "(23)" if variant.endswith("plain") else "(28)"
         params = {"dim": dim, "K": radial, "M": angular, "variant": variant, "under_resolved": under_resolved}
         records.append(CheckRecord("resolution_of_identity", equation, params, residual, tolerance))

@@ -279,14 +279,66 @@ def test_laguerre_rule_against_high_precision_at_a_thousand_nodes():
         assert abs(log_weights[i] - exact_log_weight) <= 1e-12
 
 
-def test_laguerre_rule_takes_at_most_four_recurrence_passes_per_node(monkeypatch):
-    # the asymptotic starting guesses leave Newton's method one or two steps;
-    # the extrapolating guesses they replaced took 6.5 passes per node here
+def _christoffel_laguerre_rule(k):
+    # Oracle: the rule as built before the closed-form weights. Newton's method
+    # from the same guesses runs to a relative step of 1e-10, then one more
+    # pass of the recurrence sums the Christoffel weight 1 / sum_(j<K) L_j(t)^2,
+    # rescaled by exact powers of two.
+    def recurrence(t):
+        current, difference, squares, exponent = 1.0, 0.0, 0.0, 0
+        for j in range(1, k + 1):
+            squares += current * current
+            difference = ((j - 1.0) * difference - t * current) / j
+            current += difference
+            if not -(2.0**256) < current < 2.0**256:
+                current, difference = math.ldexp(current, -256), math.ldexp(difference, -256)
+                squares = math.ldexp(squares, -512)
+                exponent += 256
+        return current, difference, squares, exponent
+
+    nodes, log_weights = [], []
+    for index in range(k):
+        t = quadrature._node_guess(index, k)
+        for _ in range(100):
+            value, difference, _, _ = recurrence(t)
+            step = t * value / (k * difference)
+            t -= step
+            if abs(step) <= 1e-10 * t:
+                break
+        _, _, squares, exponent = recurrence(t)
+        nodes.append(t)
+        log_weights.append(-math.log(squares) - 2 * exponent * math.log(2.0))
+    return nodes, log_weights
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 16, 64, 189, 400, 1000))
+def test_laguerre_rule_agrees_with_the_christoffel_weights(k):
+    nodes, log_weights = quadrature.laguerre_rule(k)
+    oracle_nodes, oracle_log_weights = _christoffel_laguerre_rule(k)
+    for t, exact_t in zip(nodes, oracle_nodes):
+        assert abs(t - exact_t) <= 2 * math.ulp(exact_t)
+    for log_weight, exact_log_weight in zip(log_weights, oracle_log_weights):
+        assert abs(log_weight - exact_log_weight) <= 1e-12
+
+
+def test_laguerre_rules_up_to_forty_nodes_are_increasing_with_unit_mass():
+    for k in range(1, 41):
+        nodes, log_weights = quadrature.laguerre_rule(k)
+        assert all(math.isfinite(t) for t in nodes)
+        assert all(a < b for a, b in zip(nodes, nodes[1:]))
+        assert abs(math.fsum(map(math.exp, log_weights)) - 1.0) <= 1e-14, k
+
+
+@pytest.mark.parametrize("k, budget", ((189, 1.5), (1000, 1.1)))
+def test_laguerre_rule_takes_at_most_one_and_a_half_recurrence_passes_per_node(monkeypatch, k, budget):
+    # the asymptotic starting guesses leave most nodes one Newton pass, and the
+    # weight needs none; the Christoffel weights cost one more pass per node
+    # (2.55 per node at K = 189), and the extrapolating guesses before them 6.5
     passes = []
     recurrence = quadrature._laguerre_recurrence
     monkeypatch.setattr(quadrature, "_laguerre_recurrence", lambda steps, t: passes.append(t) or recurrence(steps, t))
-    quadrature.laguerre_rule(189)
-    assert len(passes) <= 4.0 * 189
+    quadrature.laguerre_rule(k)
+    assert len(passes) <= budget * k
 
 
 def test_laguerre_rule_that_fails_raises_naming_radial_count(monkeypatch):
@@ -297,6 +349,15 @@ def test_laguerre_rule_that_fails_raises_naming_radial_count(monkeypatch):
     monkeypatch.setattr(quadrature, "_node_guess", lambda index, count: 1.0)  # every node finds one root
     with pytest.raises(ValueError, match="radial_count=16: .*not above"):
         quadrature_grid(16, 4)
+
+
+@pytest.mark.parametrize("guess", (0.0, -1.0, 5e-324, 1e300, math.inf, -math.inf, math.nan), ids=repr)
+def test_laguerre_rule_from_a_bad_guess_raises_only_a_value_error_naming_radial_count(monkeypatch, guess):
+    # 0 is a zero of L_K' where Newton's method cannot step; the others converge
+    # to one root for every node, or to none
+    monkeypatch.setattr(quadrature, "_node_guess", lambda index, count: guess)
+    with pytest.raises(ValueError, match="radial_count=16: "):
+        quadrature.laguerre_rule(16)
 
 
 def test_grid_resolution_predicate():

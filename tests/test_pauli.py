@@ -56,6 +56,14 @@ def test_f_coefficient_level_two_signs():
     assert abs(f_coefficient(2, 1) + 0.5773503) < 1e-7
 
 
+@pytest.mark.parametrize("n", (-1, -2, 1.5, True), ids=repr)
+def test_f_coefficient_rejects_a_bad_level_with_one_message(n):
+    # before, these raised ZeroDivisionError, a math domain error and a
+    # tuple-index TypeError, and True was read as level 1
+    with pytest.raises(ValueError, match=re.escape(f"level n must be a non-negative integer, got {n!r}")):
+        f_coefficient(n, 1)
+
+
 @pytest.mark.parametrize("l", EXPONENTS)
 def test_f_coefficient_even_level_magnitude(l):
     for m in range(0, 30):

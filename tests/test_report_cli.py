@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -20,11 +21,14 @@ from bosepauli import (
     GrassmannKet,
     GrassmannScalar,
     PauliSet,
+    RESOLUTION_VARIANTS,
     QuadratureGrid,
+    _QUADRATURE_TOLERANCE,
     algebra_residuals,
     dagger,
     parity_projectors,
     pauli_set,
+    quadrature_grid,
     sigma_minus,
     sigma_three,
     verify_functional_equation,
@@ -430,6 +434,35 @@ def test_quadrature_suite_exact_grid_passes():
     assert len(report.records) == 2
     assert report.all_passed()
     assert not any(r.params["under_resolved"] for r in report.records)
+
+
+@pytest.mark.parametrize("dim, radial, angular", ((16, 8, 16), (64, 8, 16)))
+def test_quadrature_suite_takes_one_residual_per_parity(monkeypatch, dim, radial, angular):
+    # (16, 8, 16) resolves; (64, 8, 16) does not. The records must be those of
+    # one residual per variant, for every non-empty set of variants.
+    from bosepauli import report
+
+    space, grid = FockSpace(dim), quadrature_grid(radial, angular)
+    residual = report.resolution_residual
+    calls = []
+    monkeypatch.setattr(report, "resolution_residual", lambda *args: calls.append(args[1]) or residual(*args))
+    for size in range(1, len(RESOLUTION_VARIANTS) + 1):
+        for variants in itertools.combinations(RESOLUTION_VARIANTS, size):
+            calls.clear()
+            records = quadrature_suite(dim, radial, angular, list(variants)).records
+            assert len(calls) == len({variant.partition("-")[0] for variant in variants})
+            params = {"dim": dim, "K": radial, "M": angular, "under_resolved": not grid.resolves(dim)}
+            expected = [
+                CheckRecord(
+                    "resolution_of_identity",
+                    "(23)" if variant.endswith("plain") else "(28)",
+                    {**params, "variant": variant},
+                    residual(space, variant, grid),
+                    _QUADRATURE_TOLERANCE,
+                )
+                for variant in variants
+            ]
+            assert records == expected
 
 
 def test_grassmann_suite_shape():
