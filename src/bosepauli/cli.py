@@ -5,13 +5,16 @@ Subcommands: ``verify`` (identity catalog and functional equation sweeps),
 (eigenvector checks), ``dump`` (matrix output). Reports go to stdout as JSON
 (default) or CSV. Exit status: 0 when every record passes, 1 on any failing
 record, 2 on usage errors, including parameters the library rejects with a
-``ValueError``, and 141 when the reader closes stdout before the report is out.
+``ValueError`` and a repeated list entry, 141 when the reader closes stdout
+before the report is out, and 74 (``EX_IOERR``) when writing stdout fails
+otherwise.
 A well-formed argv is parsed from the option table without argparse, which
 loads only to print ``--help`` and usage errors.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import sys
@@ -133,6 +136,15 @@ def _check_ls(usage_error, ls: list[int]) -> None:
             usage_error(f"--ls entries must be positive, got {l}")
 
 
+def _check_distinct(usage_error, **lists) -> None:
+    for dest, values in lists.items():
+        seen = set()
+        for value in values:
+            if value in seen:
+                usage_error(f"--{dest} entries must be distinct, got {value} twice")
+            seen.add(value)
+
+
 def _emit(report, fmt: str) -> int:
     if fmt == "csv":
         sys.stdout.write(report.to_csv())
@@ -167,6 +179,7 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         _check_dims(error, args.dims)
         _check_ls(error, args.ls)
+        _check_distinct(error, dims=args.dims, ls=args.ls)
         return _emit(_this.algebra_suite(args.dims, args.ls, args.tol), args.format)
 
     if args.command == "quadrature":
@@ -180,11 +193,13 @@ def _dispatch(args) -> int:
             unknown = [v for v in variants if v not in RESOLUTION_VARIANTS]
             if not variants or unknown:
                 error(f"--variants must name variants among {RESOLUTION_VARIANTS}")
+            _check_distinct(error, variants=variants)
         return _emit(_this.quadrature_suite(args.dim, args.radial, args.angular, variants, args.tol), args.format)
 
     if args.command == "grassmann":
         _check_dims(error, args.dims)
         _check_ls(error, args.ls)
+        _check_distinct(error, dims=args.dims, ls=args.ls)
         return _emit(_this.grassmann_suite(args.dims, args.ls), args.format)
 
     # dump
@@ -201,12 +216,23 @@ def _dispatch(args) -> int:
 
 
 def run() -> None:
+    """The process entry point: ``main()``, its flush and the exit code.
+
+    However the process leaves, ``run`` freezes the heap first, so that the
+    interpreter's shutdown collections skip what the OS reclaims at exit.
+    """
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader closed stdout early (``| head``): exit as SIGPIPE would, quietly
+    except OSError as exc:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit-time flush cannot raise again
-        code = 141
+        if isinstance(exc, BrokenPipeError):  # the reader closed stdout early (``| head``): exit as SIGPIPE would, quietly
+            code = 141
+        else:  # a full disk, or another write failure: not a failing record
+            sys.stderr.write(f"bosepauli: error writing stdout: {exc}\n")
+            code = 74  # EX_IOERR
+    finally:
+        gc.freeze()
     raise SystemExit(code)
 
 
