@@ -1,11 +1,14 @@
 import contextlib
 import csv
+import errno
+import gc
 import hashlib
 import io
 import itertools
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 
@@ -774,6 +777,39 @@ def test_cli_library_value_errors_name_the_subcommand(capsys, monkeypatch):
     assert usage[0].startswith("usage: bosepauli quadrature [-h]")
 
 
+# argv with a repeated list entry -> the message that rejects it
+REPEATED_ENTRIES = {
+    ("verify", "--dims", "2,2", "--ls", "1,1"): "--dims entries must be distinct, got 2 twice",
+    ("verify", "--dims", "2,4", "--ls", "1,3,1"): "--ls entries must be distinct, got 1 twice",
+    ("grassmann", "--dims", "2,4,2", "--ls", "1"): "--dims entries must be distinct, got 2 twice",
+    ("grassmann", "--dims", "4", "--ls", "2,2", "--format", "csv"): "--ls entries must be distinct, got 2 twice",
+    ("quadrature", "--dim", "4", "--variants", "even-plain,even-plain"): "--variants entries must be distinct, got even-plain twice",
+    ("quadrature", "--dim", "4", "--variants", "odd-phased, even-plain,odd-phased"): "--variants entries must be distinct, got odd-phased twice",
+}
+
+
+@pytest.mark.parametrize("argv", REPEATED_ENTRIES)
+def test_cli_rejects_a_repeated_list_entry(argv, capsys, monkeypatch):
+    # before, each printed the repeated entry's records twice and exited 0
+    usage, error = _cli_usage_error(capsys, *argv)
+    assert error == f"bosepauli {argv[0]}: error: {REPEATED_ENTRIES[argv]}"
+    monkeypatch.setattr(cli, "_parse_well_formed", lambda argv: None)
+    assert _cli_usage_error(capsys, *argv) == (usage, error)
+
+
+def test_no_benchmark_argv_repeats_a_list_entry():
+    workloads = runpy.run_path(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py"))
+    lists = [
+        argv[at + 1].split(",")
+        for seed in range(1, 51)
+        for name in workloads["WORKLOADS"]
+        for argv in (invocation.argv for invocation in workloads["generate"](name, seed))
+        for at, token in enumerate(argv)
+        if token in ("--dims", "--ls", "--variants")
+    ]
+    assert lists and all(len(set(entries)) == len(entries) for entries in lists)
+
+
 # each name perfbench/tracing.py wraps on bosepauli.cli -> an argv whose run calls it once
 CLI_ENTRY_POINTS = {
     "algebra_suite": ("verify", "--dims", "2,4", "--ls", "1,2"),
@@ -861,6 +897,27 @@ def test_cli_dump_quits_quietly_when_the_reader_stops_mid_stream():
         proc.stdout.close()  # after the first MB of the dump's 12.6
         assert proc.stderr.read() == b""
         assert proc.wait() == 141
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    (
+        ("verify", "--dims", "2", "--ls", "1"),  # fits the stdout buffer: fails at the final flush
+        ("verify", "--dims", "2", "--ls", "1", "--format", "csv"),
+        ("dump", "--op", "sigma_minus", "--dim", "256"),  # fails once the rows fill the buffer
+        ("dump", "--op", "p_even", "--dim", "64", "--format", "csv"),
+    ),
+)
+def test_cli_exits_74_with_one_line_when_stdout_cannot_be_written(args):
+    # exit 1 means a failing record; before, a full disk printed a traceback and exited 1
+    message = f"bosepauli: error writing stdout: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+    buffered = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], stdout=full, stderr=subprocess.PIPE, env=env)
+        assert proc.returncode == 74
+        assert proc.stderr.decode() == message
 
 
 def test_cli_verify_rejects_empty_exponent_list():
@@ -1036,6 +1093,7 @@ PARSER_CORPUS = (
     ("dump", "--op", "hamiltonian", "--dim", "4"),
     ("dump", "--op", "sigma_minus"),
     ("grassmann", "--dims", "2", "--ls", "1", "stray"),
+    *REPEATED_ENTRIES,
 )
 
 
@@ -1051,6 +1109,19 @@ def test_cli_writes_the_same_bytes_whichever_parser_reads_the_argv(argv, capsys,
     fast = run()
     monkeypatch.setattr(cli, "_parse_well_formed", lambda argv: None)
     assert run() == fast
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS)
+def test_a_process_writes_what_main_writes_in_process(argv, capsys, monkeypatch):
+    # run() adds only the exit: the same stdout, stderr and exit code as cli.main
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to this width, in both
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exit:
+        code = exit.code
+    out, err = capsys.readouterr()
+    proc = _run(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 # ------------------------------------------------------------ import guard
@@ -1079,18 +1150,25 @@ NUMPY_FREE_RUNS = {
 }
 
 
-def _run_recording_modules(tmp_path, *args):
-    # a real `python -m bosepauli` process and its sys.modules at exit, written by a
-    # sitecustomize module on its path; -X importtime does not log the modules
-    # loaded through importlib.import_module, as the package's lazy names are
+def _run_recording_at_exit(tmp_path, expression, *args, **streams):
+    # a real `python -m bosepauli` process and the text of ``expression`` (over
+    # gc and sys) at exit, written by a sitecustomize module on its path; its
+    # atexit handler runs after run() returns or raises, before interpreter shutdown
     (tmp_path / "sitecustomize.py").write_text(
-        "import atexit, sys\n"
-        f"atexit.register(lambda: open({str(tmp_path / 'modules.txt')!r}, 'w').write('\\n'.join(sys.modules)))\n"
+        "import atexit, gc, sys\n"
+        f"atexit.register(lambda: open({str(tmp_path / 'exit.txt')!r}, 'w').write({expression}))\n"
     )
     src = os.path.dirname(os.path.dirname(pauli.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(tmp_path), src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], capture_output=True, text=True, env=env)
-    return proc, set((tmp_path / "modules.txt").read_text().split("\n"))
+    proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], env=env, **streams)
+    return proc, (tmp_path / "exit.txt").read_text()
+
+
+def _run_recording_modules(tmp_path, *args):
+    # a real process and its sys.modules at exit; -X importtime does not log the
+    # modules loaded through importlib.import_module, as the package's lazy names are
+    proc, modules = _run_recording_at_exit(tmp_path, "'\\n'.join(sys.modules)", *args, capture_output=True, text=True)
+    return proc, set(modules.split("\n"))
 
 
 @pytest.mark.parametrize("args", NUMPY_FREE_RUNS)
@@ -1142,6 +1220,48 @@ def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
     loaded, absent = LOADED_MODULES[args]
     assert {"bosepauli.cli", *loaded} <= modules
     assert modules.isdisjoint(absent)
+
+
+# the exit paths of run(): name -> (argv, stdout, exit code)
+EXIT_PATHS = {
+    "report": (("verify", "--dims", "2,4", "--ls", "1,2"), "pipe", 0),
+    "failing-record": (("quadrature", "--dim", "64", "--radial", "8", "--angular", "16"), "pipe", 1),
+    "help": (("--help",), "pipe", 0),
+    "usage-error": (("verify", *USAGE_ERRORS["verify"][0]), "pipe", 2),
+    "closed-stdout": (("grassmann", "--dims", "2", "--ls", "1"), "closed pipe", 141),
+    "write-error": (("grassmann", "--dims", "2", "--ls", "1"), "/dev/full", 74),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_PATHS)
+def test_every_exit_path_leaves_the_interpreter_a_frozen_heap(case, tmp_path):
+    args, stdout, code = EXIT_PATHS[case]
+    with contextlib.ExitStack() as stack:
+        if stdout == "closed pipe":
+            read_end, stdout = os.pipe()
+            os.close(read_end)
+            stack.callback(os.close, stdout)
+        elif stdout == "/dev/full":
+            if not os.path.exists(stdout):
+                pytest.skip("needs /dev/full")
+            stdout = stack.enter_context(open(stdout, "wb"))
+        else:
+            stdout = subprocess.PIPE
+        proc, frozen = _run_recording_at_exit(tmp_path, "str(gc.get_freeze_count())", *args, stdout=stdout, stderr=subprocess.PIPE)
+    assert proc.returncode == code, proc.stderr
+    assert int(frozen) > 0
+
+
+def test_main_leaves_the_freeze_count_unchanged(capsys):
+    # only run(), the process entry point, freezes: in-process callers of main keep a collectable heap
+    before = gc.get_freeze_count()
+    for argv in ((command, *WELL_FORMED[command]) for command in WELL_FORMED):
+        assert cli.main(list(argv)) == 0
+    for argv in (("--help",), ("verify", *USAGE_ERRORS["verify"][0])):
+        with pytest.raises(SystemExit):
+            cli.main(list(argv))
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
 
 
 def test_choice_tuples_have_one_definition_under_every_name():

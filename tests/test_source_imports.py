@@ -83,3 +83,16 @@ def test_fock_space_is_one_object_under_every_module_that_imports_it():
     assert importers
     for stem in importers:
         assert importlib.import_module(f"bosepauli.{stem}").FockSpace is bosepauli.FockSpace, stem
+
+
+def test_only_the_process_entry_point_touches_the_collector():
+    # cli.run() freezes the heap as the process exits; the library and cli.main,
+    # which callers run in-process, leave the collector as they found it
+    readers = {
+        (path.stem, getattr(definition, "name", None))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for definition in ast.parse(path.read_text()).body
+        for node in ast.walk(definition)
+        if isinstance(node, ast.Name) and node.id == "gc"
+    }
+    assert readers == {("cli", "run")}
