@@ -797,6 +797,23 @@ def test_cli_rejects_a_repeated_list_entry(argv, capsys, monkeypatch):
     assert _cli_usage_error(capsys, *argv) == (usage, error)
 
 
+@pytest.mark.parametrize(
+    "suite, args, message",
+    (
+        (algebra_suite, ([2, 2], [1]), "dims entries must be distinct, got 2 twice"),
+        (algebra_suite, ([2, 4], [1, 3, 1]), "ls entries must be distinct, got 1 twice"),
+        (grassmann_suite, ([2, 4, 2], [1]), "dims entries must be distinct, got 2 twice"),
+        (grassmann_suite, ([4], [2, 2]), "ls entries must be distinct, got 2 twice"),
+        (quadrature_suite, (4, 4, 8, ["even-plain"] * 2), "variants entries must be distinct, got 'even-plain' twice"),
+    ),
+)
+def test_library_suites_reject_a_repeated_list_entry(suite, args, message):
+    # before, each returned the repeated entry's records twice
+    with pytest.raises(ValueError) as error:
+        suite(*args)
+    assert str(error.value) == message
+
+
 def test_no_benchmark_argv_repeats_a_list_entry():
     workloads = runpy.run_path(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py"))
     lists = [
@@ -868,6 +885,7 @@ def test_cli_prints_negative_zero_tolerance_unsigned(command, code):
         ("grassmann", "--dims", "2", "--ls", "1"),  # fits the stdout buffer: fails at the final flush
         ("dump", "--op", "sigma_minus", "--dim", "256"),  # ~0.8 MB in 3 KB rows: fails once they fill the buffer
         ("dump", "--op", "sigma_minus", "--dim", "1024"),  # 12.6 MB in 12 KB rows: fails at the first row
+        ("--help",),  # argparse's own help writer drops a failed write
     ),
 )
 def test_cli_quits_quietly_when_stdout_closes_early(args):
@@ -907,6 +925,8 @@ def test_cli_dump_quits_quietly_when_the_reader_stops_mid_stream():
         ("verify", "--dims", "2", "--ls", "1", "--format", "csv"),
         ("dump", "--op", "sigma_minus", "--dim", "256"),  # fails once the rows fill the buffer
         ("dump", "--op", "p_even", "--dim", "64", "--format", "csv"),
+        ("--help",),  # before, exit 0 in silence unbuffered and exit 120 with an "Exception ignored" line buffered
+        ("verify", "--help"),
     ),
 )
 def test_cli_exits_74_with_one_line_when_stdout_cannot_be_written(args):
@@ -918,6 +938,18 @@ def test_cli_exits_74_with_one_line_when_stdout_cannot_be_written(args):
             proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], stdout=full, stderr=subprocess.PIPE, env=env)
         assert proc.returncode == 74
         assert proc.stderr.decode() == message
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+def test_cli_usage_error_keeps_exit_2_when_stderr_cannot_be_written():
+    # before, buffered stderr failed again at the exit-time flush, and the process exited 120
+    buffered = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "wb") as full:
+            args = ("verify", *USAGE_ERRORS["verify"][0])
+            proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], stdout=subprocess.PIPE, stderr=full, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
 
 
 def test_cli_verify_rejects_empty_exponent_list():
@@ -1230,6 +1262,8 @@ EXIT_PATHS = {
     "usage-error": (("verify", *USAGE_ERRORS["verify"][0]), "pipe", 2),
     "closed-stdout": (("grassmann", "--dims", "2", "--ls", "1"), "closed pipe", 141),
     "write-error": (("grassmann", "--dims", "2", "--ls", "1"), "/dev/full", 74),
+    "help-closed-stdout": (("--help",), "closed pipe", 141),
+    "help-write-error": (("--help",), "/dev/full", 74),
 }
 
 
