@@ -79,7 +79,11 @@ def _build_parser():
     """The argparse parser, built only for ``--help`` and usage errors."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # argparse's drops a failed write; run() reports it, as it does a report's
+            (file or sys.stdout).write(self.format_help())
+
+    parser = Parser(
         prog="bosepauli",
         description="Certify the oscillator realizations of the Pauli operators on truncated Fock spaces.",
     )
@@ -215,6 +219,11 @@ def _dispatch(args) -> int:
     return 0
 
 
+def _silence(stream) -> None:
+    """Point ``stream``'s descriptor at the null device, so that the exit-time flush cannot raise again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def run() -> None:
     """The process entry point: ``main()``, its flush and the exit code.
 
@@ -222,10 +231,17 @@ def run() -> None:
     interpreter's shutdown collections skip what the OS reclaims at exit.
     """
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # --help and usage errors: their output is flushed here too
+            code = exc.code
+        try:
+            sys.stderr.flush()
+        except OSError:  # a usage error that cannot be shown keeps its exit 2
+            _silence(sys.stderr)
         sys.stdout.flush()
     except OSError as exc:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit-time flush cannot raise again
+        _silence(sys.stdout)
         if isinstance(exc, BrokenPipeError):  # the reader closed stdout early (``| head``): exit as SIGPIPE would, quietly
             code = 141
         else:  # a full disk, or another write failure: not a failing record

@@ -375,7 +375,7 @@ def _per_dim_algebra_suite(dims, ls):
     return VerificationReport(records)
 
 
-SWEEP_DIMS = [64, 2, 16, 2, 256]  # unsorted, with a duplicate
+SWEEP_DIMS = [64, 2, 16, 256]  # unsorted; a repeated dim is a ValueError
 
 
 def test_algebra_suite_matches_per_dim_catalog_runs():
