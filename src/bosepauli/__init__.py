@@ -8,7 +8,7 @@ to share across threads. The public names load on first use (PEP 562), so
 the certificates (``FockSpace``, ``BosonizationParams``, the identity
 catalog, the functional equation, the quadrature grid and residual, the
 Grassmann eigenvector check and the report records) and all four subcommands
-run without numpy; only ``coherent`` and the dense constructors import it.
+run without numpy; only ``coherent`` and ``dense``, the dense views, import it.
 
 The version and the names and defaults the command line offers are defined
 here, since every process loads this module; the modules that use them
@@ -36,18 +36,18 @@ _EXPORTS = {
     "commutator": "pauli",
     "anticommutator": "pauli",
     "max_abs_norm": "coherent",
-    "fock_ket": "grassmann",
+    "fock_ket": "dense",
     "BosonizationParams": "blocks",
     "PauliSet": "pauli",
     "IdentityCheck": "pauli",
     "f_coefficient": "pauli",
     "verify_functional_equation": "pauli",
-    "sigma_minus": "pauli",
-    "closed_form_sigma_minus": "pauli",
-    "sigma_three": "pauli",
-    "parity_projectors": "pauli",
-    "pauli_set": "pauli",
-    "two_level_restriction": "pauli",
+    "sigma_minus": "dense",
+    "closed_form_sigma_minus": "dense",
+    "sigma_three": "dense",
+    "parity_projectors": "dense",
+    "pauli_set": "dense",
+    "two_level_restriction": "dense",
     "algebra_residuals": "pauli",
     "coherent_ket": "coherent",
     "even_ket": "coherent",
@@ -61,11 +61,11 @@ _EXPORTS = {
     "nonlinear_eigen_residual": "coherent",
     "ladder_commutator_residual": "coherent",
     "GrassmannScalar": "grassmann",
-    "GrassmannKet": "grassmann",
+    "GrassmannKet": "dense",
     "THETA": "grassmann",
-    "apply_operator": "grassmann",
-    "max_abs_amplitude": "grassmann",
-    "sigma_minus_eigenket": "grassmann",
+    "apply_operator": "dense",
+    "max_abs_amplitude": "dense",
+    "sigma_minus_eigenket": "dense",
     "eigen_check": "grassmann",
     "CheckRecord": "report",
     "VerificationReport": "report",

@@ -6,8 +6,8 @@ Subcommands: ``verify`` (identity catalog and functional equation sweeps),
 (default) or CSV. Exit status: 0 when every record passes, 1 on any failing
 record, 2 on usage errors, including parameters the library rejects with a
 ``ValueError`` and a repeated list entry, 141 when the reader closes stdout
-before the report is out, and 74 (``EX_IOERR``) when writing stdout fails
-otherwise.
+before the report or the help is out, and 74 (``EX_IOERR``) when writing
+stdout fails otherwise.
 A well-formed argv is parsed from the option table without argparse, which
 loads only to print ``--help`` and usage errors.
 """
@@ -22,17 +22,19 @@ import types
 
 from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _lazy
 
-# entry point -> the module that defines it, imported on first use (PEP 562),
-# so --help and usage errors load none of them. ``_dispatch`` calls them as
-# attributes of this module, through ``_this``, so that a wrapper set on the
-# module attribute is the one it calls.
+# entry point, or the list check the suites share, -> the module that defines
+# it, imported on first use (PEP 562), so --help and the usage errors of
+# parsing load none of them. ``_dispatch`` calls them as attributes of this
+# module, through ``_this``, so that a wrapper set on the module attribute is
+# the one it calls.
 _ENTRY_POINTS = {
     "algebra_suite": "report",
     "quadrature_suite": "report",
     "grassmann_suite": "report",
-    "named_operator": "blocks",
-    "matrix_to_json": "blocks",
-    "matrix_to_csv": "blocks",
+    "named_operator": "dump",
+    "matrix_to_json": "dump",
+    "matrix_to_csv": "dump",
+    "_distinct": "report",
 }
 _this = sys.modules[__name__]
 __getattr__ = _lazy(globals(), _ENTRY_POINTS)
@@ -134,21 +136,6 @@ def _check_dims(usage_error, dims: list[int], option: str = "--dims entries") ->
             usage_error(f"{option} must be even and >= 2, got {dim}")
 
 
-def _check_ls(usage_error, ls: list[int]) -> None:
-    for l in ls:
-        if l < 1:
-            usage_error(f"--ls entries must be positive, got {l}")
-
-
-def _check_distinct(usage_error, **lists) -> None:
-    for dest, values in lists.items():
-        seen = set()
-        for value in values:
-            if value in seen:
-                usage_error(f"--{dest} entries must be distinct, got {value} twice")
-            seen.add(value)
-
-
 def _emit(report, fmt: str) -> int:
     if fmt == "csv":
         sys.stdout.write(report.to_csv())
@@ -180,10 +167,14 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     error = args.usage_error
-    if args.command == "verify":
+    if args.command in ("verify", "grassmann"):
         _check_dims(error, args.dims)
-        _check_ls(error, args.ls)
-        _check_distinct(error, dims=args.dims, ls=args.ls)
+        for l in args.ls:
+            if l < 1:
+                error(f"--ls entries must be positive, got {l}")
+        _this._distinct(("--dims", args.dims), ("--ls", args.ls))  # the suites' own check, naming the options
+        if args.command == "grassmann":
+            return _emit(_this.grassmann_suite(args.dims, args.ls), args.format)
         return _emit(_this.algebra_suite(args.dims, args.ls, args.tol), args.format)
 
     if args.command == "quadrature":
@@ -197,14 +188,8 @@ def _dispatch(args) -> int:
             unknown = [v for v in variants if v not in RESOLUTION_VARIANTS]
             if not variants or unknown:
                 error(f"--variants must name variants among {RESOLUTION_VARIANTS}")
-            _check_distinct(error, variants=variants)
+            _this._distinct(("--variants", variants))
         return _emit(_this.quadrature_suite(args.dim, args.radial, args.angular, variants, args.tol), args.format)
-
-    if args.command == "grassmann":
-        _check_dims(error, args.dims)
-        _check_ls(error, args.ls)
-        _check_distinct(error, dims=args.dims, ls=args.ls)
-        return _emit(_this.grassmann_suite(args.dims, args.ls), args.format)
 
     # dump
     _check_dims(error, [args.dim], "--dim")

@@ -4,7 +4,7 @@ A :class:`FockSpace` retains the number states ``|0> .. |dim-1>`` with a hard
 cutoff: the raising operator maps the top level to the zero vector. Operators
 on it are complex numpy matrices ``[m, n] = <m|O|n>`` and kets complex vectors
 ``[n] = <n|psi>``; each helper that names one lives beside its caller, in
-:mod:`bosepauli.coherent`, :mod:`bosepauli.pauli` or :mod:`bosepauli.grassmann`.
+:mod:`bosepauli.coherent` or :mod:`bosepauli.dense`.
 This module imports no numpy, so every subcommand loads it.
 """
 

@@ -3,25 +3,26 @@
 A scalar is ``body + soul * theta`` with complex coefficients and
 ``theta^2 = 0`` built into the product rule, so nilpotency is structural
 rather than numerical. Grassmann scalars commute with complex matrix
-entries; a ket with Grassmann amplitudes is stored as the pair of complex
-coefficient vectors (body, soul). The eigenvector check needs no numpy: the
-eigenket of ``sigma_-`` lives on levels 0 and 1, so it runs on pair block 0 of
-``sigma_-`` alone, from :mod:`bosepauli.blocks`, and never loads the identity
-catalog in :mod:`bosepauli.pauli`. :func:`fock_ket`, the basis ket of
-:func:`sigma_minus_eigenket`, imports numpy when called, as the dense kets do.
+entries. The eigenvector check needs no numpy: the eigenket of ``sigma_-``
+lives on levels 0 and 1, so it runs on pair block 0 of ``sigma_-`` alone, from
+:mod:`bosepauli.blocks`, and never loads the identity catalog in
+:mod:`bosepauli.pauli`. The dense kets (``GrassmannKet``, whose amplitudes are
+the pair of complex coefficient vectors (body, soul), and
+``sigma_minus_eigenket``) live in :mod:`bosepauli.dense`; their old names here
+resolve there on first use.
 """
 
 from __future__ import annotations
 
 import cmath
 from numbers import Number
-from typing import TYPE_CHECKING
 
-from . import blocks  # block 0 is looked up when called, as the catalog's blocks are
+from . import _lazy, blocks  # block 0 is looked up when called, as the catalog's blocks are
 from .fock import FockSpace
 
-if TYPE_CHECKING:
-    import numpy as np
+# the old names of the dense kets and their helpers, which resolve in bosepauli.dense on first use (PEP 562)
+__getattr__ = _lazy(globals(), dict.fromkeys(
+    ("GrassmannKet", "apply_operator", "max_abs_amplitude", "fock_ket", "sigma_minus_eigenket"), "dense"))
 
 
 def _coerce(value):
@@ -115,48 +116,6 @@ class GrassmannScalar(_Value):
 THETA = GrassmannScalar(0j, 1.0 + 0j)
 
 
-class GrassmannKet(_Value):
-    """Ket with Grassmann amplitudes ``body[n] + soul[n] * theta``."""
-
-    __slots__ = ("space", "body", "soul")
-
-    def __init__(self, space: FockSpace, body: np.ndarray, soul: np.ndarray):
-        import numpy as np
-
-        for name, part in (("body", body), ("soul", soul)):
-            if part.shape != (space.dim,):
-                raise ValueError(f"{name} amplitude vector has shape {part.shape}, expected ({space.dim},)")
-            if not np.all(np.isfinite(part.real) & np.isfinite(part.imag)):
-                raise ValueError(f"Grassmann ket {name} amplitudes must be finite")
-        super().__init__(space, body, soul)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        import numpy as np
-
-        return self.space == other.space and np.array_equal(self.body, other.body) and np.array_equal(self.soul, other.soul)
-
-    __hash__ = None  # numpy arrays have no hash
-
-    def amplitude(self, n: int) -> GrassmannScalar:
-        return GrassmannScalar(complex(self.body[n]), complex(self.soul[n]))
-
-
-def apply_operator(op: np.ndarray, ket: GrassmannKet) -> GrassmannKet:
-    """Act with a complex matrix; matrix entries commute with theta."""
-    if op.shape != (ket.space.dim, ket.space.dim):
-        raise ValueError(f"operator shape {op.shape} does not match dim {ket.space.dim}")
-    return GrassmannKet(ket.space, op @ ket.body, op @ ket.soul)
-
-
-def max_abs_amplitude(ket: GrassmannKet) -> float:
-    """Largest modulus over both coefficient vectors."""
-    import numpy as np
-
-    return float(max(np.max(np.abs(ket.body)), np.max(np.abs(ket.soul))))
-
-
 def _eigenket_amplitudes(xi: GrassmannScalar) -> tuple[GrassmannScalar, GrassmannScalar]:
     """Amplitudes of ``|xi> = |0> + xi |1>`` on levels 0 and 1; every other one is zero."""
     if xi.body != 0:
@@ -164,31 +123,6 @@ def _eigenket_amplitudes(xi: GrassmannScalar) -> tuple[GrassmannScalar, Grassman
     if not cmath.isfinite(xi.soul):
         raise ValueError(f"a sigma_- eigenvalue must have a finite soul, got {xi.soul!r}")
     return GrassmannScalar(1.0 + 0j), xi
-
-
-def fock_ket(space: FockSpace, n: int) -> np.ndarray:
-    """Basis ket ``|n>``."""
-    import numpy as np
-
-    if not 0 <= n < space.dim:
-        raise IndexError(f"level {n} outside 0..{space.dim - 1}")
-    ket = np.zeros(space.dim, dtype=complex)
-    ket[n] = 1.0
-    return ket
-
-
-def sigma_minus_eigenket(space: FockSpace, xi: GrassmannScalar) -> GrassmannKet:
-    """Eigenket ``|xi> = |0> + xi |1>`` of ``sigma_-`` with eigenvalue ``xi``.
-
-    The generating exponential terminates at first order because
-    ``xi^2 = 0``, and the level-1 coefficient equals 1 for every exponent
-    ``l``, so the state does not depend on the representation chosen.
-    Requires a pure Grassmann ``xi`` (zero body).
-    """
-    level_zero, level_one = _eigenket_amplitudes(xi)
-    body = level_zero.body * fock_ket(space, 0) + level_one.body * fock_ket(space, 1)
-    soul = level_zero.soul * fock_ket(space, 0) + level_one.soul * fock_ket(space, 1)
-    return GrassmannKet(space, body, soul)
 
 
 def eigen_check(space: FockSpace, l: int, xi: GrassmannScalar) -> tuple[float, float]:

@@ -25,12 +25,16 @@ import functools
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import blocks
-from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, _entries, _exponent, _named_blocks
-from .fock import FockSpace
+from . import _lazy, blocks
+from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, _exponent
 
 if TYPE_CHECKING:
     import numpy as np
+
+# the old names of the dense views, which resolve in bosepauli.dense on first use (PEP 562)
+__getattr__ = _lazy(globals(), dict.fromkeys(
+    ("_direct_sum", "sigma_minus", "closed_form_sigma_minus", "sigma_three", "parity_projectors", "pauli_set",
+     "two_level_restriction"), "dense"))
 
 
 def f_coefficient(n: int, l: int) -> float:
@@ -66,7 +70,7 @@ def verify_functional_equation(l: int, n_max: int) -> float:
 
 class PauliSet(NamedTuple):
     """The five pseudospin operators assembled from one ``sigma_-``: dense
-    matrices from :func:`pauli_set`, or the ``_Block`` pair blocks of one pair,
+    matrices from :func:`bosepauli.dense.pauli_set`, or the ``_Block`` pair blocks of one pair,
     with which the identity catalog fills them."""
 
     sigma_minus: np.ndarray | _Block
@@ -85,72 +89,6 @@ def _pauli_blocks(lowering: _Block) -> PauliSet:
         sigma_two=-1j * (plus - lowering),
         sigma_three=_DIAGONAL_BLOCKS["sigma_three"],
     )
-
-
-def _direct_sum(blocks: list[_Block]) -> np.ndarray:
-    """Direct sum of pair blocks, as a dense complex matrix."""
-    import numpy as np
-
-    out = np.zeros((2 * len(blocks), 2 * len(blocks)), dtype=complex)
-    for row, col, value in _entries(blocks):
-        out[row, col] = value
-    return out
-
-
-def sigma_minus(params: BosonizationParams) -> np.ndarray:
-    """Lowering operator ``sigma_- = f(N) a = cos^l(pi N/2) (N+1)^(-1/2) a``."""
-    return _direct_sum(_named_blocks("sigma_minus", params))
-
-
-def closed_form_sigma_minus(params: BosonizationParams) -> np.ndarray:
-    """Closed-form oracle for :func:`sigma_minus`.
-
-    Writes ``|2n><2n+1|`` for every retained pair, with constant sign for even
-    ``l`` and alternating sign ``(-1)^n`` for odd ``l``. Built by index
-    assignment alone, independent of the ``f(N) a`` route and of the pair
-    blocks, so the two constructions can be compared entrywise.
-    """
-    import numpy as np
-
-    dim = params.space.dim
-    out = np.zeros((dim, dim), dtype=complex)
-    n = np.arange(dim // 2)
-    out[2 * n, 2 * n + 1] = (-1.0) ** n if params.l % 2 == 1 else 1.0
-    return out
-
-
-def sigma_three(space: FockSpace) -> np.ndarray:
-    """Inversion operator ``diag(-1, +1, -1, +1, ...)``.
-
-    The ground state carries eigenvalue ``-1`` in this convention, which is
-    opposite to the common ``sigma_z``; it is the closed form of the ladder
-    commutator ``[sigma_+, sigma_-]`` on even truncations.
-    """
-    if space.dim % 2 != 0:
-        raise ValueError(f"dim={space.dim} is odd; sigma_three needs an even truncation")
-    return _direct_sum([_DIAGONAL_BLOCKS["sigma_three"]] * (space.dim // 2))
-
-
-def parity_projectors(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal projectors ``(P_even, P_odd)`` onto even/odd levels; any ``dim``."""
-    import numpy as np
-
-    parity = np.arange(space.dim) % 2
-    return np.diag((parity == 0).astype(complex)), np.diag((parity == 1).astype(complex))
-
-
-def pauli_set(params: BosonizationParams) -> PauliSet:
-    """Assemble ``sigma_-``, ``sigma_+ = sigma_-^dag``, ``sigma_1 = sigma_+ + sigma_-``,
-    ``sigma_2 = -i(sigma_+ - sigma_-)`` and the diagonal ``sigma_3``."""
-    sets = [_pauli_blocks(block) for block in _named_blocks("sigma_minus", params)]
-    return PauliSet._make(_direct_sum(operator) for operator in zip(*sets))
-
-
-def two_level_restriction(op: np.ndarray) -> np.ndarray:
-    """Top-left 2x2 block ``<i|op|j>`` for ``i, j`` in ``{0, 1}``."""
-    if op.shape[0] < 2 or op.shape[1] < 2:
-        raise ValueError("operator is smaller than two levels")
-    return op[:2, :2].copy()
 
 
 def commutator(a: np.ndarray | _Block, b: np.ndarray | _Block) -> np.ndarray | _Block:

@@ -187,13 +187,14 @@ class VerificationReport:
         return out.getvalue()
 
 
-def _distinct(**lists) -> None:
-    """Reject a list that repeats an entry, since its records would repeat too."""
-    for name, values in lists.items():
+def _distinct(*lists: tuple[str, list]) -> None:
+    """Reject a ``(name, values)`` list that repeats an entry, since its records
+    would repeat too. The CLI checks its options here, under their own names."""
+    for name, values in lists:
         seen = set()
         for value in values:
             if value in seen:
-                raise ValueError(f"{name} entries must be distinct, got {value!r} twice")
+                raise ValueError(f"{name} entries must be distinct, got {value} twice")
             seen.add(value)
 
 
@@ -201,7 +202,7 @@ def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> Ver
     """Functional-equation and identity-catalog records over dims x ls, each
     ``(dim, l)`` from its own :func:`~bosepauli.pauli.algebra_residuals`.
     A repeated entry of ``dims`` or ``ls`` is a ``ValueError``, as in every suite."""
-    _distinct(dims=dims, ls=ls)
+    _distinct(("dims", dims), ("ls", ls))
     records = []
     for l in ls:
         residual = _this.verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX)
@@ -222,7 +223,7 @@ def quadrature_suite(
     """Resolution-of-identity records for the requested variants, from one
     residual per parity: a phased residual is the plain one of its parity
     (see :func:`~bosepauli.quadrature.resolution_residual`)."""
-    _distinct(variants=variants)
+    _distinct(("variants", variants))
     space = FockSpace(dim)
     grid = _this.quadrature_grid(radial, angular)
     under_resolved = not grid.resolves(dim)
@@ -243,7 +244,7 @@ def quadrature_suite(
 def grassmann_suite(dims: list[int], ls: list[int]) -> VerificationReport:
     """Grassmann eigenvector records (eigenvalue relation and nilpotency) over
     dims x ls, for ``xi = DEFAULT_GRASSMANN_SOUL * theta``."""
-    _distinct(dims=dims, ls=ls)
+    _distinct(("dims", dims), ("ls", ls))
     xi = _this.GrassmannScalar(0j, DEFAULT_GRASSMANN_SOUL)
     records = []
     for dim in dims:

@@ -27,7 +27,9 @@ from bosepauli import (
 )
 import bosepauli.blocks
 from bosepauli import pauli
-from bosepauli.pauli import _Block, _direct_sum, _entries
+from bosepauli.blocks import _Block
+from bosepauli.dense import _direct_sum
+from bosepauli.dump import _entries
 
 EVEN_DIMS = (2, 4, 8, 16, 32, 64)
 EXPONENTS = (1, 2, 3, 4, 5, 6)

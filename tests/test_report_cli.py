@@ -37,7 +37,7 @@ from bosepauli import (
     verify_functional_equation,
 )
 from bosepauli import DUMPABLE_OPERATORS, blocks, cli, pauli
-from bosepauli.blocks import matrix_to_csv, matrix_to_json, named_operator
+from bosepauli.dump import matrix_to_csv, matrix_to_json, named_operator
 from bosepauli.report import (
     CSV_COLUMNS,
     FUNCTIONAL_EQUATION_N_MAX,
@@ -804,7 +804,7 @@ def test_cli_rejects_a_repeated_list_entry(argv, capsys, monkeypatch):
         (algebra_suite, ([2, 4], [1, 3, 1]), "ls entries must be distinct, got 1 twice"),
         (grassmann_suite, ([2, 4, 2], [1]), "dims entries must be distinct, got 2 twice"),
         (grassmann_suite, ([4], [2, 2]), "ls entries must be distinct, got 2 twice"),
-        (quadrature_suite, (4, 4, 8, ["even-plain"] * 2), "variants entries must be distinct, got 'even-plain' twice"),
+        (quadrature_suite, (4, 4, 8, ["even-plain"] * 2), "variants entries must be distinct, got even-plain twice"),
     ),
 )
 def test_library_suites_reject_a_repeated_list_entry(suite, args, message):
@@ -839,10 +839,10 @@ CLI_ENTRY_POINTS = {
 
 
 def test_cli_entry_points_resolve_to_the_objects_their_modules_define(monkeypatch):
-    from bosepauli import report
+    from bosepauli import dump, report
 
     defined_in = {"algebra_suite": report, "quadrature_suite": report, "grassmann_suite": report}
-    defined_in.update(named_operator=blocks, matrix_to_json=blocks, matrix_to_csv=blocks)
+    defined_in.update(named_operator=dump, matrix_to_json=dump, matrix_to_csv=dump)
     assert set(defined_in) == set(CLI_ENTRY_POINTS)
     for name, module in defined_in.items():
         monkeypatch.delitem(vars(cli), name, raising=False)  # resolved afresh, on first use
@@ -1213,9 +1213,9 @@ def test_verify_and_help_import_no_numpy(args, tmp_path):
 
 
 # the package modules a process may load beyond the package and cli
-_PACKAGE = {name: f"bosepauli.{name}" for name in ("report", "fock", "blocks", "pauli", "grassmann", "quadrature")}
-# no subcommand calls the coherent layer
-_NEVER = ("bosepauli.coherent", "json")
+_PACKAGE = {name: f"bosepauli.{name}" for name in ("report", "fock", "blocks", "dump", "pauli", "grassmann", "quadrature")}
+# no subcommand calls the coherent layer or the dense views
+_NEVER = ("bosepauli.coherent", "bosepauli.dense", "json")
 # argparse and what it imports, loaded only for help and usage errors
 _ARGPARSE = ("argparse", "gettext", "locale")
 
@@ -1230,7 +1230,7 @@ def _only(*names, argparse=False):
     return loaded, (*unused, *_NEVER, *_ARGPARSE)
 
 
-_DUMP_MODULES = _only("fock", "blocks")
+_DUMP_MODULES = _only("fock", "blocks", "dump")
 # argv (each also a NUMPY_FREE_RUNS argv) -> (the modules its process loads
 # beyond cli, the modules it must not load)
 LOADED_MODULES = {
@@ -1252,6 +1252,14 @@ def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
     loaded, absent = LOADED_MODULES[args]
     assert {"bosepauli.cli", *loaded} <= modules
     assert modules.isdisjoint(absent)
+
+
+@pytest.mark.parametrize("module", ("bosepauli.pauli", "bosepauli.grassmann"))
+def test_the_certificate_modules_alone_load_neither_numpy_nor_the_dense_views(module):
+    code = f"import sys, {module}; print(sorted(set(sys.modules) & {{'numpy', 'bosepauli.dense', 'bosepauli.dump'}}))"
+    proc = _run_from_source_tree("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # the exit paths of run(): name -> (argv, stdout, exit code)
@@ -1300,10 +1308,10 @@ def test_main_leaves_the_freeze_count_unchanged(capsys):
 
 def test_choice_tuples_have_one_definition_under_every_name():
     import bosepauli
-    from bosepauli import quadrature
+    from bosepauli import dump, quadrature
 
     assert bosepauli.RESOLUTION_VARIANTS is cli.RESOLUTION_VARIANTS is quadrature.RESOLUTION_VARIANTS
-    assert bosepauli.DUMPABLE_OPERATORS is cli.DUMPABLE_OPERATORS is blocks.DUMPABLE_OPERATORS
+    assert bosepauli.DUMPABLE_OPERATORS is cli.DUMPABLE_OPERATORS is dump.DUMPABLE_OPERATORS
     assert set(DUMPABLE_OPERATORS) == {"sigma_minus", "sigma_plus", *pauli._DIAGONAL_BLOCKS}
 
 

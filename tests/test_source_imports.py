@@ -85,6 +85,31 @@ def test_fock_space_is_one_object_under_every_module_that_imports_it():
         assert importlib.import_module(f"bosepauli.{stem}").FockSpace is bosepauli.FockSpace, stem
 
 
+# name moved off the paths of verify and grassmann -> (its home, the modules that still give it by that name)
+MOVED = {
+    **dict.fromkeys(
+        ("_direct_sum", "sigma_minus", "closed_form_sigma_minus", "sigma_three", "parity_projectors", "pauli_set",
+         "two_level_restriction"),
+        ("dense", ("pauli",)),
+    ),
+    **dict.fromkeys(
+        ("GrassmannKet", "apply_operator", "max_abs_amplitude", "fock_ket", "sigma_minus_eigenket"), ("dense", ("grassmann",))
+    ),
+    **dict.fromkeys(("named_operator", "matrix_to_json", "matrix_to_csv"), ("dump", ("cli",))),
+    **dict.fromkeys(("_named_blocks", "_entries", "_row_major"), ("dump", ())),
+}
+
+
+@pytest.mark.parametrize("name", MOVED)
+def test_each_moved_name_is_one_object_under_its_home_and_every_module_that_gives_it(name):
+    home, others = MOVED[name]
+    value = getattr(importlib.import_module(f"bosepauli.{home}"), name)
+    assert value.__module__ == f"bosepauli.{home}"
+    for module in others:
+        assert getattr(importlib.import_module(f"bosepauli.{module}"), name) is value, module
+    assert getattr(bosepauli, name, value) is value
+
+
 def test_only_the_process_entry_point_touches_the_collector():
     # cli.run() freezes the heap as the process exits; the library and cli.main,
     # which callers run in-process, leave the collector as they found it
