@@ -81,11 +81,7 @@ def _build_parser():
     """The argparse parser, built only for ``--help`` and usage errors."""
     import argparse
 
-    class Parser(argparse.ArgumentParser):
-        def print_help(self, file=None):  # argparse's drops a failed write; run() reports it, as it does a report's
-            (file or sys.stdout).write(self.format_help())
-
-    parser = Parser(
+    parser = argparse.ArgumentParser(
         prog="bosepauli",
         description="Certify the oscillator realizations of the Pauli operators on truncated Fock spaces.",
     )
@@ -95,7 +91,15 @@ def _build_parser():
         for dest, keywords in options.items():
             subparser.add_argument("--" + dest, **keywords)
         subparser.set_defaults(usage_error=subparser.error)  # checks after parsing report as the subcommand's own errors do
+    for each in (parser, *sub.choices.values()):
+        each.print_help = types.MethodType(_print_help, each)
     return parser
+
+
+def _print_help(parser, file=None) -> None:
+    """``parser``'s help, written to stdout; argparse's own ``print_help``
+    drops a failed write, and ``run`` reports it as it does a report's."""
+    (file or sys.stdout).write(parser.format_help())
 
 
 def _parse_well_formed(argv: list[str]):
