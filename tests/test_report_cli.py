@@ -952,6 +952,19 @@ def test_cli_usage_error_keeps_exit_2_when_stderr_cannot_be_written():
         assert proc.stdout == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize("args", (("verify", "--dims", "2", "--ls", "1"), ("--help",)))
+def test_cli_exits_74_when_neither_stdout_nor_stderr_can_be_written(args):
+    # the one line on stderr is lost too, and the exit code alone reports the failed write;
+    # before, that line's own write raised: exit 1 and a traceback unbuffered, exit 120
+    # and an "Exception ignored" line buffered, both sent to the full stderr
+    buffered = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    for env in (buffered, {**buffered, "PYTHONUNBUFFERED": "1"}):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "bosepauli", *args], stdout=full, stderr=full, env=env)
+        assert proc.returncode == 74, env.get("PYTHONUNBUFFERED")
+
+
 def test_cli_verify_rejects_empty_exponent_list():
     proc = _run("verify", "--dims", "2", "--ls", "")
     assert proc.returncode == 2
@@ -1262,34 +1275,40 @@ def test_the_certificate_modules_alone_load_neither_numpy_nor_the_dense_views(mo
     assert proc.stdout == "[]\n"
 
 
-# the exit paths of run(): name -> (argv, stdout, exit code)
+# the exit paths of run(): name -> (argv, stdout, stderr, exit code)
 EXIT_PATHS = {
-    "report": (("verify", "--dims", "2,4", "--ls", "1,2"), "pipe", 0),
-    "failing-record": (("quadrature", "--dim", "64", "--radial", "8", "--angular", "16"), "pipe", 1),
-    "help": (("--help",), "pipe", 0),
-    "usage-error": (("verify", *USAGE_ERRORS["verify"][0]), "pipe", 2),
-    "closed-stdout": (("grassmann", "--dims", "2", "--ls", "1"), "closed pipe", 141),
-    "write-error": (("grassmann", "--dims", "2", "--ls", "1"), "/dev/full", 74),
-    "help-closed-stdout": (("--help",), "closed pipe", 141),
-    "help-write-error": (("--help",), "/dev/full", 74),
+    "report": (("verify", "--dims", "2,4", "--ls", "1,2"), "pipe", "pipe", 0),
+    "failing-record": (("quadrature", "--dim", "64", "--radial", "8", "--angular", "16"), "pipe", "pipe", 1),
+    "help": (("--help",), "pipe", "pipe", 0),
+    "usage-error": (("verify", *USAGE_ERRORS["verify"][0]), "pipe", "pipe", 2),
+    "closed-stdout": (("grassmann", "--dims", "2", "--ls", "1"), "closed pipe", "pipe", 141),
+    "write-error": (("grassmann", "--dims", "2", "--ls", "1"), "/dev/full", "pipe", 74),
+    "help-closed-stdout": (("--help",), "closed pipe", "pipe", 141),
+    "help-write-error": (("--help",), "/dev/full", "pipe", 74),
+    "write-error-stderr-full": (("verify", "--dims", "2", "--ls", "1"), "/dev/full", "/dev/full", 74),
+    "help-write-error-stderr-full": (("--help",), "/dev/full", "/dev/full", 74),
 }
+
+
+def _exit_path_stream(stack, target):
+    if target == "closed pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stack.callback(os.close, write_end)
+        return write_end
+    if target == "/dev/full":
+        if not os.path.exists(target):
+            pytest.skip("needs /dev/full")
+        return stack.enter_context(open(target, "wb"))
+    return subprocess.PIPE
 
 
 @pytest.mark.parametrize("case", EXIT_PATHS)
 def test_every_exit_path_leaves_the_interpreter_a_frozen_heap(case, tmp_path):
-    args, stdout, code = EXIT_PATHS[case]
+    args, stdout, stderr, code = EXIT_PATHS[case]
     with contextlib.ExitStack() as stack:
-        if stdout == "closed pipe":
-            read_end, stdout = os.pipe()
-            os.close(read_end)
-            stack.callback(os.close, stdout)
-        elif stdout == "/dev/full":
-            if not os.path.exists(stdout):
-                pytest.skip("needs /dev/full")
-            stdout = stack.enter_context(open(stdout, "wb"))
-        else:
-            stdout = subprocess.PIPE
-        proc, frozen = _run_recording_at_exit(tmp_path, "str(gc.get_freeze_count())", *args, stdout=stdout, stderr=subprocess.PIPE)
+        streams = {"stdout": _exit_path_stream(stack, stdout), "stderr": _exit_path_stream(stack, stderr)}
+        proc, frozen = _run_recording_at_exit(tmp_path, "str(gc.get_freeze_count())", *args, **streams)
     assert proc.returncode == code, proc.stderr
     assert int(frozen) > 0
 
