@@ -234,8 +234,11 @@ def run() -> None:
         if isinstance(exc, BrokenPipeError):  # the reader closed stdout early (``| head``): exit as SIGPIPE would, quietly
             code = 141
         else:  # a full disk, or another write failure: not a failing record
-            sys.stderr.write(f"bosepauli: error writing stdout: {exc}\n")
             code = 74  # EX_IOERR
+            try:
+                sys.stderr.write(f"bosepauli: error writing stdout: {exc}\n")
+            except OSError:  # stderr fails too: the exit code alone reports it
+                _silence(sys.stderr)
     finally:
         gc.freeze()
     raise SystemExit(code)
