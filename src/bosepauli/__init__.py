@@ -29,10 +29,6 @@ _QUADRATURE_TOLERANCE = 1e-12
 # public name -> the module that defines it, imported on first use
 _EXPORTS = {
     "FockSpace": "fock",
-    "annihilator": "coherent",
-    "creator": "coherent",
-    "number_operator": "coherent",
-    "dagger": "coherent",
     "commutator": "pauli",
     "anticommutator": "pauli",
     "max_abs_norm": "coherent",
@@ -45,8 +41,6 @@ _EXPORTS = {
     "sigma_minus": "dense",
     "closed_form_sigma_minus": "dense",
     "sigma_three": "dense",
-    "parity_projectors": "dense",
-    "pauli_set": "dense",
     "two_level_restriction": "dense",
     "algebra_residuals": "pauli",
     "coherent_ket": "coherent",
@@ -57,7 +51,6 @@ _EXPORTS = {
     "quadrature_grid": "quadrature",
     "resolution_residual": "quadrature",
     "nonlinear_coherent_ket": "coherent",
-    "deformed_annihilator": "coherent",
     "nonlinear_eigen_residual": "coherent",
     "ladder_commutator_residual": "coherent",
     "GrassmannScalar": "grassmann",
@@ -65,7 +58,6 @@ _EXPORTS = {
     "THETA": "grassmann",
     "apply_operator": "dense",
     "max_abs_amplitude": "dense",
-    "sigma_minus_eigenket": "dense",
     "eigen_check": "grassmann",
     "CheckRecord": "report",
     "VerificationReport": "report",
@@ -78,7 +70,11 @@ __all__ = ["__version__", "RESOLUTION_VARIANTS", *_EXPORTS]
 
 def _lazy(namespace: dict, table: dict[str, str]):
     """A module ``__getattr__`` (PEP 562) that imports each name of ``table`` from the
-    package module it maps to, on first use, and keeps it in ``namespace``."""
+    package module it maps to, on first use, and keeps it in ``namespace``.
+
+    ``delattr`` removes only the kept value, and the next lookup imports the
+    name again. A name set to ``None`` stays ``None``, which hides it from a
+    caller that reads ``None`` as absent."""
 
     def __getattr__(name: str):
         if name not in table:

@@ -1,6 +1,6 @@
 """Coherent states, even/odd cat states and nonlinear (f-deformed) coherent
-states on the truncated space, as numpy arrays, with the dense ladder and
-number operators, ``dagger`` and the residual statistic ``max_abs_norm``.
+states on the truncated space, as numpy arrays, with the residual statistic
+``max_abs_norm``. Nothing here builds a matrix.
 
 The even and odd kets keep the plain coherent prefactor ``exp(-|z|^2/2)``
 and are therefore not unit vectors (``<z|z>_e = exp(-|z|^2) cosh|z|^2``).
@@ -11,7 +11,7 @@ which needs none of these arrays.
 
 The deformed lowering operator ``f(N) a`` has one nonzero diagonal, the band
 ``<n| f(N) a |n+1> = f(n) sqrt(n+1)``. The nonlinear kets and both residuals
-are computed on it in O(dim); only :func:`deformed_annihilator` builds a matrix.
+are computed on it in O(dim).
 """
 
 from __future__ import annotations
@@ -25,30 +25,6 @@ import numpy as np
 from .fock import FockSpace
 
 _LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
-
-
-def annihilator(space: FockSpace) -> np.ndarray:
-    """Lowering operator with ``a|n> = sqrt(n)|n-1>`` and ``a|0> = 0``."""
-    return np.diag(np.sqrt(np.arange(1, space.dim)), 1).astype(complex)
-
-
-def creator(space: FockSpace) -> np.ndarray:
-    """Raising operator, the adjoint of :func:`annihilator`.
-
-    Truncation convention: the top level ``|dim-1>`` is sent to the zero
-    vector instead of leaving the space.
-    """
-    return dagger(annihilator(space))
-
-
-def number_operator(space: FockSpace) -> np.ndarray:
-    """Number operator ``diag(0, 1, ..., dim-1)``."""
-    return np.diag(np.arange(space.dim)).astype(complex)
-
-
-def dagger(op: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of a matrix."""
-    return op.conj().swapaxes(-1, -2)
 
 
 def max_abs_norm(arr: np.ndarray) -> float:
@@ -119,10 +95,10 @@ def phase_relation_residual(space: FockSpace, z: complex) -> float:
     return max_abs_norm(phases * coherent_ket(space, z) - coherent_ket(space, 1j * z))
 
 
-def _band(space: FockSpace, f, regular: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def _band(space: FockSpace, f) -> tuple[np.ndarray, np.ndarray]:
     """The level map ``f(n)``, ``n = 0 .. dim-1``, given as a callable or a
     length-dim sequence, and the band ``f(n) sqrt(n+1)``, ``n = 0 .. dim-2``;
-    with ``regular``, a zero on the band is a ``ValueError``."""
+    a zero on the band is a ``ValueError``."""
     if callable(f):
         values = np.array([f(n) for n in range(space.dim)], dtype=complex)
     else:
@@ -132,14 +108,9 @@ def _band(space: FockSpace, f, regular: bool = True) -> tuple[np.ndarray, np.nda
     if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
         raise ValueError("deformation values must be finite")
     zeros = np.flatnonzero(values[:-1] == 0)
-    if regular and zeros.size:
+    if zeros.size:
         raise ValueError(f"f vanishes at level {int(zeros[0])}, below the truncation edge; the deformed ladder is singular")
     return values, values[:-1] * np.sqrt(np.arange(1, space.dim))
-
-
-def deformed_annihilator(space: FockSpace, f) -> np.ndarray:
-    """Deformed lowering operator ``f(N) a``, its band on the superdiagonal."""
-    return np.diag(_band(space, f, regular=False)[1], 1)
 
 
 def _nonlinear_amplitudes(band: np.ndarray, z: complex, normalize: bool) -> np.ndarray:

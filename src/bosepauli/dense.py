@@ -1,12 +1,11 @@
-"""Dense numpy views of the pseudospin operators and of the Grassmann
-eigenkets of ``sigma_-``.
+"""Dense numpy views of the pseudospin operators and Grassmann kets.
 
 The certificates need none of them: the identity catalog runs on the pair
 blocks of :mod:`bosepauli.blocks`, and the eigenvector check on pair block 0.
-These views serve library callers and the oracles that check the blocks
-against dense matrices, so no subcommand loads this module, and it imports
-numpy when loaded. Their old names under :mod:`bosepauli.pauli` and
-:mod:`bosepauli.grassmann` resolve here on first use.
+These views serve the acceptance criteria and library callers: no
+subcommand loads this module, and it imports numpy when loaded. Four of them
+also resolve under :mod:`bosepauli.pauli` and :mod:`bosepauli.grassmann`, on
+first use.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ import numpy as np
 from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block
 from .dump import _entries, _named_blocks
 from .fock import FockSpace
-from .grassmann import GrassmannScalar, _eigenket_amplitudes, _Value
-from .pauli import PauliSet, _pauli_blocks
+from .grassmann import GrassmannScalar, _Value
 
 # ------------------------------------------------------------- pseudospin
 
@@ -60,19 +58,6 @@ def sigma_three(space: FockSpace) -> np.ndarray:
     if space.dim % 2 != 0:
         raise ValueError(f"dim={space.dim} is odd; sigma_three needs an even truncation")
     return _direct_sum([_DIAGONAL_BLOCKS["sigma_three"]] * (space.dim // 2))
-
-
-def parity_projectors(space: FockSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal projectors ``(P_even, P_odd)`` onto even/odd levels; any ``dim``."""
-    parity = np.arange(space.dim) % 2
-    return np.diag((parity == 0).astype(complex)), np.diag((parity == 1).astype(complex))
-
-
-def pauli_set(params: BosonizationParams) -> PauliSet:
-    """Assemble ``sigma_-``, ``sigma_+ = sigma_-^dag``, ``sigma_1 = sigma_+ + sigma_-``,
-    ``sigma_2 = -i(sigma_+ - sigma_-)`` and the diagonal ``sigma_3``."""
-    sets = [_pauli_blocks(block) for block in _named_blocks("sigma_minus", params)]
-    return PauliSet._make(_direct_sum(operator) for operator in zip(*sets))
 
 
 def two_level_restriction(op: np.ndarray) -> np.ndarray:
@@ -128,17 +113,3 @@ def fock_ket(space: FockSpace, n: int) -> np.ndarray:
     ket = np.zeros(space.dim, dtype=complex)
     ket[n] = 1.0
     return ket
-
-
-def sigma_minus_eigenket(space: FockSpace, xi: GrassmannScalar) -> GrassmannKet:
-    """Eigenket ``|xi> = |0> + xi |1>`` of ``sigma_-`` with eigenvalue ``xi``.
-
-    The generating exponential terminates at first order because
-    ``xi^2 = 0``, and the level-1 coefficient equals 1 for every exponent
-    ``l``, so the state does not depend on the representation chosen.
-    Requires a pure Grassmann ``xi`` (zero body).
-    """
-    level_zero, level_one = _eigenket_amplitudes(xi)
-    body = level_zero.body * fock_ket(space, 0) + level_one.body * fock_ket(space, 1)
-    soul = level_zero.soul * fock_ket(space, 0) + level_one.soul * fock_ket(space, 1)
-    return GrassmannKet(space, body, soul)

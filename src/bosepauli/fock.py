@@ -1,10 +1,10 @@
 """The truncated bosonic Fock space, the one object every certificate lives on.
 
 A :class:`FockSpace` retains the number states ``|0> .. |dim-1>`` with a hard
-cutoff: the raising operator maps the top level to the zero vector. Operators
-on it are complex numpy matrices ``[m, n] = <m|O|n>`` and kets complex vectors
-``[n] = <n|psi>``; each helper that names one lives beside its caller, in
-:mod:`bosepauli.coherent` or :mod:`bosepauli.dense`.
+cutoff: a raising step from the top level is dropped. Kets on it are complex
+numpy vectors ``[n] = <n|psi>``, built in :mod:`bosepauli.coherent` and
+:mod:`bosepauli.dense`, and the dense views of :mod:`bosepauli.dense` are
+complex matrices ``[m, n] = <m|O|n>``.
 This module imports no numpy, so every subcommand loads it.
 """
 

@@ -6,10 +6,9 @@ rather than numerical. Grassmann scalars commute with complex matrix
 entries. The eigenvector check needs no numpy: the eigenket of ``sigma_-``
 lives on levels 0 and 1, so it runs on pair block 0 of ``sigma_-`` alone, from
 :mod:`bosepauli.blocks`, and never loads the identity catalog in
-:mod:`bosepauli.pauli`. The dense kets (``GrassmannKet``, whose amplitudes are
-the pair of complex coefficient vectors (body, soul), and
-``sigma_minus_eigenket``) live in :mod:`bosepauli.dense`; their old names here
-resolve there on first use.
+:mod:`bosepauli.pauli`. The dense ket ``GrassmannKet``, whose amplitudes are
+the pair of complex coefficient vectors (body, soul), lives in
+:mod:`bosepauli.dense`.
 """
 
 from __future__ import annotations
@@ -20,9 +19,9 @@ from numbers import Number
 from . import _lazy, blocks  # block 0 is looked up when called, as the catalog's blocks are
 from .fock import FockSpace
 
-# the old names of the dense kets and their helpers, which resolve in bosepauli.dense on first use (PEP 562)
-__getattr__ = _lazy(globals(), dict.fromkeys(
-    ("GrassmannKet", "apply_operator", "max_abs_amplitude", "fock_ket", "sigma_minus_eigenket"), "dense"))
+# two dense helpers under their old names, resolved in bosepauli.dense on first use (PEP 562);
+# kept only because the site table of perfbench/tracing.py looks them up here
+__getattr__ = _lazy(globals(), dict.fromkeys(("apply_operator", "fock_ket"), "dense"))
 
 
 def _coerce(value):

@@ -15,8 +15,8 @@ class in a process, on 2x2 matrices of Python ``complex`` with entries in
 exact on every distinct block, and every block of the truncation is one of
 them. That certificate, like the functional equation, needs no numpy: the
 commutators take pair blocks as well as matrices. The blocks, the exponent
-check and ``BosonizationParams`` come from :mod:`bosepauli.blocks`. Only
-the public dense constructors import numpy, when called.
+check and ``BosonizationParams`` come from :mod:`bosepauli.blocks`. The
+dense views live in :mod:`bosepauli.dense`.
 """
 
 from __future__ import annotations
@@ -31,10 +31,9 @@ from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, 
 if TYPE_CHECKING:
     import numpy as np
 
-# the old names of the dense views, which resolve in bosepauli.dense on first use (PEP 562)
-__getattr__ = _lazy(globals(), dict.fromkeys(
-    ("_direct_sum", "sigma_minus", "closed_form_sigma_minus", "sigma_three", "parity_projectors", "pauli_set",
-     "two_level_restriction"), "dense"))
+# two dense views under their old names, resolved in bosepauli.dense on first use (PEP 562);
+# kept only because the site table of perfbench/tracing.py looks them up here
+__getattr__ = _lazy(globals(), dict.fromkeys(("sigma_minus", "sigma_three"), "dense"))
 
 
 def f_coefficient(n: int, l: int) -> float:
@@ -69,9 +68,9 @@ def verify_functional_equation(l: int, n_max: int) -> float:
 
 
 class PauliSet(NamedTuple):
-    """The five pseudospin operators assembled from one ``sigma_-``: dense
-    matrices from :func:`bosepauli.dense.pauli_set`, or the ``_Block`` pair blocks of one pair,
-    with which the identity catalog fills them."""
+    """The five pseudospin operators assembled from one ``sigma_-``: the
+    ``_Block`` pair blocks of one pair, with which the identity catalog fills
+    them, or dense matrices of the same operators."""
 
     sigma_minus: np.ndarray | _Block
     sigma_plus: np.ndarray | _Block

@@ -11,10 +11,7 @@ from bosepauli import (
     FockSpace,
     QuadratureGrid,
     RESOLUTION_VARIANTS,
-    annihilator,
     coherent_ket,
-    creator,
-    deformed_annihilator,
     even_ket,
     f_coefficient,
     fock_ket,
@@ -27,6 +24,8 @@ from bosepauli import (
     quadrature_grid,
     resolution_residual,
 )
+from bosepauli.coherent import _band
+from dense_oracles import annihilator, creator
 
 SPACE_64 = FockSpace(64)
 
@@ -578,10 +577,15 @@ def test_deformation_values_must_be_finite():
         nonlinear_coherent_ket(FockSpace(4), lambda n: math.inf, 0.5)
 
 
+def _band_matrix(space, f):
+    # f(N) a from its band, the one nonzero diagonal the nonlinear kets and residuals read
+    return np.diag(_band(space, f)[1], 1)
+
+
 def test_deformed_annihilator_matches_coefficient_action():
     space = FockSpace(6)
     f = lambda n: 2.0 + n
-    op = deformed_annihilator(space, f)
+    op = _band_matrix(space, f)
     ket = fock_ket(space, 3)
     assert np.allclose(op @ ket, f(2) * math.sqrt(3) * fock_ket(space, 2), atol=1e-14)
 
@@ -591,7 +595,7 @@ def test_deformed_annihilator_scales_rows_like_diagonal_product():
         space = FockSpace(dim)
         values = np.array([(1.0 + 0.5j) / (n + 1) - 0.25j * n for n in range(dim)])
         expected = np.diag(values) @ annihilator(space)
-        assert np.array_equal(deformed_annihilator(space, values), expected)
+        assert np.array_equal(_band_matrix(space, values), expected)
 
 
 # -------------------------------------------------------- ladder commutator
@@ -686,7 +690,7 @@ def _same_outcome(band_call, dense_call):
 @pytest.mark.parametrize("name", REAL_DEFORMATIONS)
 def test_band_is_bit_equal_to_the_dense_products_for_real_deformations(name, dim):
     space, f = FockSpace(dim), REAL_DEFORMATIONS[name]
-    assert np.array_equal(deformed_annihilator(space, f), _dense_deformed_annihilator(space, f))
+    assert np.array_equal(_band_matrix(space, f), _dense_deformed_annihilator(space, f))
     for margin in (0, 1):
         assert ladder_commutator_residual(space, f, margin) == _dense_ladder_commutator_residual(space, f, margin)
     for z in BAND_ZS:
@@ -722,7 +726,7 @@ def test_ladder_commutator_names_the_level_where_the_raising_ladder_overflows():
 @pytest.mark.parametrize("dim", BAND_DIMS)
 def test_band_agrees_with_the_dense_products_for_a_complex_deformation(dim):
     space, f, eps = FockSpace(dim), COMPLEX_DEFORMATION, np.finfo(float).eps
-    assert np.array_equal(deformed_annihilator(space, f), _dense_deformed_annihilator(space, f))
+    assert np.array_equal(_band_matrix(space, f), _dense_deformed_annihilator(space, f))
     for margin in (0, 1):
         # each level of the commutator holds products of size about dim
         band, dense = ladder_commutator_residual(space, f, margin), _dense_ladder_commutator_residual(space, f, margin)
