@@ -4,6 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.polynomial.laguerre import laggauss
 
 from bosepauli import quadrature
@@ -186,6 +187,53 @@ def test_phase_relation_is_bit_equal_to_the_four_ket_oracle():
     assert nonzero  # the sweep reaches residuals that are not exactly zero
 
 
+def test_phase_relation_is_exact_past_the_shifted_start():
+    # |z| = 61 starts the recursion near level 1,700: the first amplitude's phase
+    # is u^start by products, so (iu)^start is i^start u^start bit for bit
+    assert phase_relation_residual(FockSpace(4096), -42.0 + 44.5j) == 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3, 64, 4096)), st.complex_numbers(max_magnitude=80, allow_nan=False, allow_infinity=False))
+def test_phase_relation_is_exact_at_every_finite_z(dim, z):
+    assert phase_relation_residual(FockSpace(dim), z) == 0.0
+
+
+KET_FUNCTIONS = (coherent_ket, even_ket, odd_ket, phase_relation_residual)
+# a part that is not finite, or |z|^2 past the largest double (|z| above about 1.34e154)
+UNCOMPUTABLE_Z = (
+    math.nan, math.inf, -math.inf, complex("nan"), complex(0, -math.inf), complex(1, math.nan), complex(math.inf, math.nan),
+    1e155, -2e154j, complex(1e308, 1e308), 1.35e154 + 1j,
+)
+
+
+@pytest.mark.parametrize("function", KET_FUNCTIONS, ids=lambda function: function.__name__)
+@pytest.mark.parametrize("z", UNCOMPUTABLE_Z, ids=repr)
+def test_a_z_the_ket_cannot_be_computed_at_is_a_value_error_naming_z(function, z):
+    with pytest.raises(ValueError, match=re.escape(f"z={z!r}")):
+        function(FockSpace(8), z)
+
+
+def test_the_largest_computable_z_gives_a_finite_ket():
+    z = 1.3e154
+    for dim in (2, 64):
+        assert np.all(np.isfinite(coherent_ket(FockSpace(dim), z)))
+        assert phase_relation_residual(FockSpace(dim), z) == 0.0
+
+
+_NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((2, 3, 64, 4096)),
+    st.one_of(st.builds(complex, _NON_FINITE, st.floats()), st.builds(complex, st.floats(), _NON_FINITE)),
+)
+def test_a_non_finite_z_is_a_value_error_naming_z(dim, z):
+    with pytest.raises(ValueError, match=re.escape(f"z={z!r}")):
+        phase_relation_residual(FockSpace(dim), z)
+
+
 # -------------------------------------------------------------- quadrature
 
 
@@ -212,6 +260,20 @@ def test_grid_validation():
         quadrature_grid(0, 4)
     with pytest.raises(ValueError):
         quadrature_grid(4, 0)
+
+
+@pytest.mark.parametrize(
+    "radial, angular, name",
+    (
+        (4, 2.5, "angular_count"), (4, True, "angular_count"), (4, -1, "angular_count"), (4, "8", "angular_count"),
+        (2.5, 4, "radial_count"), (True, 4, "radial_count"), (0, 4, "radial_count"), (4.0, 4, "radial_count"),
+    ),
+    ids=repr,
+)
+def test_a_grid_count_that_is_not_a_positive_int_is_a_value_error_naming_it(radial, angular, name):
+    bad = radial if name == "radial_count" else angular
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be a positive integer, got {bad!r}")):
+        quadrature_grid(radial, angular)
 
 
 @pytest.mark.parametrize("k", (187, 189, 400))

@@ -122,6 +122,12 @@ def test_functional_equation_rejects_n_max_outside_the_exact_range(n_max):
         verify_functional_equation(1, n_max)
 
 
+@pytest.mark.parametrize("n_max", (2.5, 4.0, True, False, "8", None), ids=repr)
+def test_functional_equation_rejects_an_n_max_that_is_not_an_int(n_max):
+    with pytest.raises(ValueError, match=re.escape(f"n_max must be a non-negative integer, got {n_max!r}")):
+        verify_functional_equation(1, n_max)
+
+
 @pytest.mark.parametrize("n_max", (2**26, 10**9))
 @pytest.mark.parametrize("table", (None, *WRONG_COSINE_TABLES))
 def test_functional_equation_terms_repeat_past_n_4_for_any_n_max(monkeypatch, table, n_max):

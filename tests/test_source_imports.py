@@ -85,6 +85,35 @@ def test_fock_space_is_one_object_under_every_module_that_imports_it():
         assert importlib.import_module(f"bosepauli.{stem}").FockSpace is bosepauli.FockSpace, stem
 
 
+def _imports_numpy(tree):
+    # an import of numpy or of a numpy submodule anywhere in the module, TYPE_CHECKING blocks and functions included
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "numpy" for alias in node.names):
+            return True
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "numpy":
+            return True
+    return False
+
+
+def test_only_the_dense_modules_import_numpy():
+    importers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if _imports_numpy(ast.parse(path.read_text()))]
+    assert importers == ["coherent", "dense"]
+
+
+def test_the_numpy_guard_sees_imports_at_every_level():
+    for source in (
+        "import numpy as np",
+        "import numpy.linalg",
+        "from numpy import zeros",
+        "from numpy.polynomial import laguerre",
+        "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    import numpy as np",
+        "def f():\n    import numpy\n    return numpy",
+    ):
+        assert _imports_numpy(ast.parse(source)), source
+    for source in ("import numbers", "from . import numpy_views", "from .numpy import x", "import numpyish"):
+        assert not _imports_numpy(ast.parse(source)), source
+
+
 # name moved off the paths of verify and grassmann -> (its home, the modules that still give it by that name)
 MOVED = {
     **dict.fromkeys(("sigma_minus", "sigma_three"), ("dense", ("pauli",))),
