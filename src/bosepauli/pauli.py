@@ -58,10 +58,12 @@ def verify_functional_equation(l: int, n_max: int) -> float:
     ``c_n + c_(n-1) - 1``, repeating from ``n = 5`` on, so the maximum is
     exactly ``0.0`` when the recurrence holds. Only the terms
     ``n <= min(n_max, 4)`` are evaluated, so any ``n_max >= 0`` costs the same.
+    An ``n_max`` that is not an ``int`` of at least 0, a ``bool`` included, is
+    a ``ValueError``.
     """
     _exponent(l)
-    if n_max < 0:
-        raise ValueError(f"n_max={n_max} must be >= 0")
+    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
+        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
     table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n by n mod 4
     sums = [table[0]] + [table[n % 4] + table[n - 1] for n in range(1, min(n_max, 4) + 1)]  # c_n + c_(n-1), c_(-1) = 0
     return float(max(abs(c - 1) for c in sums))

@@ -191,9 +191,11 @@ def laguerre_rule(radial_count: int) -> tuple[tuple[float, ...], tuple[float, ..
 
 def quadrature_grid(radial_count: int, angular_count: int) -> QuadratureGrid:
     """Build a :class:`QuadratureGrid` with ``radial_count`` Laguerre nodes
-    and ``angular_count`` uniform angles."""
-    if radial_count < 1 or angular_count < 1:
-        raise ValueError("quadrature grid needs at least one radial node and one angle")
+    and ``angular_count`` uniform angles. A count that is not an ``int`` of
+    at least 1, a ``bool`` included, is a ``ValueError`` naming it."""
+    for name, count in (("radial_count", radial_count), ("angular_count", angular_count)):
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"{name} must be a positive integer, got {count!r}")
     return QuadratureGrid(*laguerre_rule(radial_count), angular_count)
 
 

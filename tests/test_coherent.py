@@ -174,17 +174,14 @@ def _four_ket_phase_relation_residual(space, z):
 
 def test_phase_relation_is_bit_equal_to_the_four_ket_oracle():
     rng = np.random.default_rng(20031)
-    # |z| above about 37.6 takes coherent_ket's shifted start, where the residual is no longer 0
+    # |z| above about 37.6 takes coherent_ket's shifted start, where the residual is 0 as well
     radii = np.concatenate([rng.uniform(0, 5, 400), rng.uniform(5, 37.6, 300), rng.uniform(37.6, 80, 300)])
     zs = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, radii.size))
-    nonzero = 0
     for dim in (2, 3, 64, 1000, 4096):
         space = FockSpace(dim)
         for z in zs:
             residual = phase_relation_residual(space, z)
-            assert residual == _four_ket_phase_relation_residual(space, z), (dim, z)
-            nonzero += residual != 0.0
-    assert nonzero  # the sweep reaches residuals that are not exactly zero
+            assert residual == _four_ket_phase_relation_residual(space, z) == 0.0, (dim, z)
 
 
 def test_phase_relation_is_exact_past_the_shifted_start():
