@@ -8,9 +8,14 @@ they share no code with the certificates they check. Not collected by pytest;
 the tests import it.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
-from bosepauli import GrassmannKet, PauliSet, closed_form_sigma_minus
+from bosepauli import GrassmannKet, closed_form_sigma_minus
+
+# the five pseudospin operators assembled from one sigma_-, as matrices or as stacks of them
+PauliSet = namedtuple("PauliSet", "sigma_minus sigma_plus sigma_one sigma_two sigma_three")
 
 
 def annihilator(space):

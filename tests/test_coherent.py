@@ -4,7 +4,7 @@ import re
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.laguerre import laggauss
 
 from bosepauli import quadrature
@@ -15,7 +15,6 @@ from bosepauli import (
     coherent_ket,
     even_ket,
     f_coefficient,
-    fock_ket,
     ladder_commutator_residual,
     max_abs_norm,
     nonlinear_coherent_ket,
@@ -26,6 +25,7 @@ from bosepauli import (
     resolution_residual,
 )
 from bosepauli.coherent import _band
+from bosepauli.dense import fock_ket
 from dense_oracles import annihilator, creator
 
 SPACE_64 = FockSpace(64)
@@ -192,8 +192,19 @@ def test_phase_relation_is_exact_past_the_shifted_start():
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from((2, 3, 64, 4096)), st.complex_numbers(max_magnitude=80, allow_nan=False, allow_infinity=False))
+@example(3, 27.625 + 25.625j)
 def test_phase_relation_is_exact_at_every_finite_z(dim, z):
     assert phase_relation_residual(FockSpace(dim), z) == 0.0
+
+
+def test_phase_relation_is_exact_where_the_ladder_above_the_start_is_one_step():
+    # start = dim - 2 leaves numpy one multiply, which its SIMD loop rounds apart
+    # for z and iz (8e-323 at dim 3, z = 27.625+25.625i, without the leading 1.0 of _ladder_amplitudes)
+    rng = np.random.default_rng(28)
+    radii = rng.uniform(37.5, 45, 2000)
+    zs = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, radii.size))
+    for dim in (3, 5, 9, 65):
+        assert max(phase_relation_residual(FockSpace(dim), z) for z in zs) == 0.0, dim
 
 
 KET_FUNCTIONS = (coherent_ket, even_ket, odd_ket, phase_relation_residual)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bosepauli import FockSpace, anticommutator, commutator, fock_ket, max_abs_norm
+from bosepauli import FockSpace, anticommutator, commutator, max_abs_norm
+from bosepauli.dense import fock_ket
 from dense_oracles import annihilator, creator, dagger, number_operator
 
 

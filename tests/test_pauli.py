@@ -15,7 +15,6 @@ from bosepauli import (
     closed_form_sigma_minus,
     commutator,
     f_coefficient,
-    fock_ket,
     max_abs_norm,
     sigma_minus,
     sigma_three,
@@ -25,9 +24,9 @@ from bosepauli import (
 import bosepauli.blocks
 from bosepauli import pauli
 from bosepauli.blocks import _Block
-from bosepauli.dense import _direct_sum
+from bosepauli.dense import _direct_sum, fock_ket
 from bosepauli.dump import _entries
-from dense_oracles import dagger, parity_projectors, pauli_set
+from dense_oracles import PauliSet, dagger, parity_projectors, pauli_set
 
 EVEN_DIMS = (2, 4, 8, 16, 32, 64)
 EXPONENTS = (1, 2, 3, 4, 5, 6)
@@ -393,7 +392,7 @@ def _stack_catalog(params, modulus=np.abs):
     pairs = params.space.dim // 2
     minus = np.array([bosepauli.blocks._lowering_block(n, params.l) for n in range(pairs)], dtype=complex).reshape(pairs, 2, 2)
     plus = dagger(minus)
-    ops = pauli.PauliSet(minus, plus, plus + minus, -1j * (plus - minus), _diagonal_stack(-1.0, 1.0, pairs))
+    ops = PauliSet(minus, plus, plus + minus, -1j * (plus - minus), _diagonal_stack(-1.0, 1.0, pairs))
     eye, zero = _diagonal_stack(1.0, 1.0, pairs), _diagonal_stack(0.0, 0.0, pairs)
     p_even, p_odd = _diagonal_stack(1.0, 0.0, pairs), _diagonal_stack(0.0, 1.0, pairs)
     triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}

@@ -23,7 +23,6 @@ from bosepauli import (
     FockSpace,
     GrassmannKet,
     GrassmannScalar,
-    PauliSet,
     RESOLUTION_VARIANTS,
     QuadratureGrid,
     _QUADRATURE_TOLERANCE,
@@ -84,12 +83,6 @@ VALUE_TYPES = {
     BosonizationParams: (
         lambda: BosonizationParams(3, FockSpace(4)),
         "BosonizationParams(l=3, space=FockSpace(dim=4))",
-        True,
-        True,
-    ),
-    PauliSet: (
-        lambda: PauliSet(1, 2, 3, 4, 5),
-        "PauliSet(sigma_minus=1, sigma_plus=2, sigma_one=3, sigma_two=4, sigma_three=5)",
         True,
         True,
     ),
@@ -1334,10 +1327,10 @@ def test_choice_tuples_have_one_definition_under_every_name():
 
 # every name of bosepauli.__all__ but __version__
 PUBLIC_NAMES = {
-    "BosonizationParams", "CheckRecord", "FockSpace", "GrassmannKet", "GrassmannScalar", "IdentityCheck", "PauliSet",
+    "BosonizationParams", "CheckRecord", "FockSpace", "GrassmannKet", "GrassmannScalar", "IdentityCheck",
     "QuadratureGrid", "RESOLUTION_VARIANTS", "THETA", "VerificationReport", "algebra_residuals", "algebra_suite",
     "anticommutator", "apply_operator", "closed_form_sigma_minus", "coherent_ket", "commutator", "eigen_check",
-    "even_ket", "f_coefficient", "fock_ket", "grassmann_suite", "ladder_commutator_residual", "max_abs_amplitude",
+    "even_ket", "f_coefficient", "grassmann_suite", "ladder_commutator_residual", "max_abs_amplitude",
     "max_abs_norm", "nonlinear_coherent_ket", "nonlinear_eigen_residual", "odd_ket", "phase_relation_residual",
     "quadrature_grid", "quadrature_suite", "resolution_residual", "sigma_minus", "sigma_three",
     "two_level_restriction", "verify_functional_equation",
@@ -1352,7 +1345,7 @@ def test_every_public_name_resolves_and_the_numpy_subcommands_still_run():
     proc = _run_from_source_tree("-c", code)
     names, checks = proc.stdout.splitlines()
     assert names.split() == sorted(PUBLIC_NAMES)  # each name once
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 35
     assert checks.split() == ["True", "True"]
     for args in (
         ("dump", "--op", "sigma_three", "--dim", "4"),

@@ -136,14 +136,17 @@ def test_each_moved_name_is_one_object_under_its_home_and_every_module_that_give
     assert getattr(bosepauli, name, value) is value
 
 
-# a dense builder that only tests called, or an alias the benchmark's tracer does not read
-# -> the modules that gave it; the tests build the matrices in tests/dense_oracles.py
+# a dense builder that only tests called, an alias the benchmark's tracer does not read, or a
+# public name only tests used -> the modules that gave it; the tests build the matrices in
+# tests/dense_oracles.py and take fock_ket from bosepauli.dense
 REMOVED = {
     **dict.fromkeys(("annihilator", "creator", "number_operator", "dagger", "deformed_annihilator"), ("", "coherent")),
     **dict.fromkeys(("parity_projectors", "pauli_set"), ("", "dense", "pauli")),
     "sigma_minus_eigenket": ("", "dense", "grassmann"),
     **dict.fromkeys(("_direct_sum", "closed_form_sigma_minus", "two_level_restriction"), ("pauli",)),
     **dict.fromkeys(("GrassmannKet", "max_abs_amplitude"), ("grassmann",)),
+    "PauliSet": ("", "pauli"),
+    "fock_ket": ("",),
 }
 
 
