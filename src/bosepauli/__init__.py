@@ -32,9 +32,7 @@ _EXPORTS = {
     "commutator": "pauli",
     "anticommutator": "pauli",
     "max_abs_norm": "coherent",
-    "fock_ket": "dense",
     "BosonizationParams": "blocks",
-    "PauliSet": "pauli",
     "IdentityCheck": "pauli",
     "f_coefficient": "pauli",
     "verify_functional_equation": "pauli",

@@ -38,20 +38,18 @@ def _ladder_amplitudes(z: complex, first, divisors: np.ndarray) -> np.ndarray:
     """Amplitudes ``c_0 = first``, ``c_(n+1) = z c_n / d_n`` for the ``divisors``
     ``d_0 .. d_(dim-2)``. The running product starts from ``first``, so a
     prefactor that underflows to zero keeps every amplitude zero instead of
-    multiplying an overflowed ``z^n`` afterwards."""
-    return np.cumprod(np.concatenate([[first], z / divisors]))
+    multiplying an overflowed ``z^n`` afterwards. A leading 1.0 keeps numpy's
+    accumulate on its sequential loop: it hands a single step to its SIMD
+    multiply, whose fused multiply-adds round ``(iP)(iw)`` and ``-(Pw)`` apart."""
+    return np.cumprod(np.concatenate([[1.0, first], z / divisors]))[1:]
 
 
 def _power(u: complex, n: int) -> complex:
-    """``u^n`` by repeated squaring, products alone at every ``n``; Python's
-    ``**`` turns to ``exp``/``log`` above ``n = 100``. Multiplying a factor by
-    ``i`` rounds nothing, so ``_power(i u, n)`` is ``i^n _power(u, n)`` exactly."""
+    """``u^n`` by repeated squaring, in products alone (``**`` takes ``exp`` and ``log`` above
+    ``n = 100``). A quarter turn of a factor rounds nothing, so ``_power(iu, n) = i^n _power(u, n)``."""
     power = 1.0 + 0j
-    while n:
-        if n & 1:
-            power *= u
-        u *= u
-        n >>= 1
+    for bit in f"{n:b}":  # the bits of n from the top
+        power = power * power * u if bit == "1" else power * power
     return power
 
 
@@ -62,10 +60,9 @@ def coherent_ket(space: FockSpace, z: complex) -> np.ndarray:
     (``|z|`` above about 37.6). Then it starts at the first level whose
     log-amplitude ``-|z|^2/2 + n log|z| - lgamma(n+1)/2`` is that of a normal
     double, and the levels below it, all smaller than about 1e-308, are 0.
-    The start amplitude's phase ``(z/|z|)^start`` is taken by products alone,
-    so the ket at ``iz`` is the ket at ``z`` with ``i^n`` on level ``n``, bit
-    for bit. A ``z`` with a part that is not finite, or with ``|z|^2`` past
-    the largest double (``|z|`` above about 1.34e154), is a ``ValueError``.
+    Its phase ``(z/|z|)^start`` is a product, so the ket at ``iz`` is exactly the
+    ket at ``z`` times ``i^n`` on level ``n``. A ``z`` with a part that is not finite,
+    or with ``|z|`` above about 1.34e154, where ``|z|^2`` overflows, is a ``ValueError``.
     """
     given, z = z, complex(z)
     try:
@@ -111,8 +108,7 @@ def phase_relation_residual(space: FockSpace, z: complex) -> float:
     since ``(iz)^(2n) = (-1)^n z^(2n)``, and on odd support also the global
     factor ``i`` the substitution leaves (``(iz)^(2n+1) = i (-1)^n z^(2n+1)``).
     The cat kets are disjoint halves of :func:`coherent_ket`: one comparison covers both.
-    Both kets are the same products up to quarter turns, which round nothing,
-    so the residual is exactly 0.0 at every ``z`` that :func:`coherent_ket` takes.
+    The two kets are the same products up to quarter turns, so the residual is exactly 0.0.
     """
     phases = np.array([1.0, 1j, -1.0, -1j])[np.arange(space.dim) % 4]
     return max_abs_norm(phases * coherent_ket(space, z) - coherent_ket(space, 1j * complex(z)))

@@ -116,16 +116,14 @@ THETA = GrassmannScalar(0j, 1.0 + 0j)
 
 
 def _eigenket_amplitudes(xi: GrassmannScalar) -> tuple[GrassmannScalar, GrassmannScalar]:
-    """Amplitudes of ``|xi> = |0> + xi |1>`` on levels 0 and 1; every other one is zero.
-    A plain number is taken as a body, as in the scalar arithmetic."""
-    value = _coerce(xi)
-    if value is None:
-        raise ValueError(f"xi must be a GrassmannScalar or a number, got {xi!r}")
-    if value.body != 0:
-        raise ValueError(f"xi must have zero body (a pure Grassmann number), got {xi!r}")
-    if not cmath.isfinite(value.soul):
-        raise ValueError(f"xi must have a finite soul, got {value.soul!r}")
-    return GrassmannScalar(1.0 + 0j), value
+    """Amplitudes of ``|xi> = |0> + xi |1>`` on levels 0 and 1; every other one is zero."""
+    if not isinstance(xi, GrassmannScalar):
+        raise ValueError(f"xi must be a GrassmannScalar, got {xi!r}")
+    if xi.body != 0:
+        raise ValueError("a sigma_- eigenvalue must have zero body (a pure Grassmann number)")
+    if not cmath.isfinite(xi.soul):
+        raise ValueError(f"a sigma_- eigenvalue must have a finite soul, got {xi.soul!r}")
+    return GrassmannScalar(1.0 + 0j), xi
 
 
 def eigen_check(space: FockSpace, l: int, xi: GrassmannScalar) -> tuple[float, float]:
@@ -135,12 +133,12 @@ def eigen_check(space: FockSpace, l: int, xi: GrassmannScalar) -> tuple[float, f
     coefficient modulus of ``sigma_-|xi> - xi|xi>`` and of
     ``sigma_-(sigma_-|xi>)``, read off pair block 0, which holds the whole
     ket. Both are exactly zero: the block has exact ``{0, 1}`` entries and
-    the Grassmann product drops ``xi^2`` identically. A plain number ``xi``
-    is a body, so only 0 passes; anything else is a ``ValueError`` naming ``xi``.
+    the Grassmann product drops ``xi^2`` identically. An ``xi`` that is not a
+    ``GrassmannScalar``, a plain number included, is a ``ValueError`` naming ``xi``.
     """
     blocks.BosonizationParams(l, space)  # rejects a bad (l, dim)
     block = blocks._Block(*blocks._lowering_block(0, l))
-    level_zero, xi = _eigenket_amplitudes(xi)
-    ket = blocks._Block(level_zero, 0, xi, 0)  # the two amplitudes as a column
+    level_zero, level_one = _eigenket_amplitudes(xi)
+    ket = blocks._Block(level_zero, 0, level_one, 0)  # the two amplitudes as a column
     lowered = block @ ket
     return (lowered - xi * ket).max_abs(), (block @ lowered).max_abs()

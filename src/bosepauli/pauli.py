@@ -23,13 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import _lazy, blocks
 from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, _exponent
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # two dense views under their old names, resolved in bosepauli.dense on first use (PEP 562);
 # kept only because the site table of perfbench/tracing.py looks them up here
@@ -69,35 +66,12 @@ def verify_functional_equation(l: int, n_max: int) -> float:
     return float(max(abs(c - 1) for c in sums))
 
 
-class PauliSet(NamedTuple):
-    """The five pseudospin operators assembled from one ``sigma_-``: the
-    ``_Block`` pair blocks of one pair, with which the identity catalog fills
-    them, or dense matrices of the same operators."""
-
-    sigma_minus: np.ndarray | _Block
-    sigma_plus: np.ndarray | _Block
-    sigma_one: np.ndarray | _Block
-    sigma_two: np.ndarray | _Block
-    sigma_three: np.ndarray | _Block
-
-
-def _pauli_blocks(lowering: _Block) -> PauliSet:
-    plus = lowering.dagger()
-    return PauliSet(
-        sigma_minus=lowering,
-        sigma_plus=plus,
-        sigma_one=plus + lowering,
-        sigma_two=-1j * (plus - lowering),
-        sigma_three=_DIAGONAL_BLOCKS["sigma_three"],
-    )
-
-
-def commutator(a: np.ndarray | _Block, b: np.ndarray | _Block) -> np.ndarray | _Block:
+def commutator(a, b):
     """``a @ b - b @ a``, for two matrices or two pair blocks."""
     return a @ b - b @ a
 
 
-def anticommutator(a: np.ndarray | _Block, b: np.ndarray | _Block) -> np.ndarray | _Block:
+def anticommutator(a, b):
     """``a @ b + b @ a``, for two matrices or two pair blocks."""
     return a @ b + b @ a
 
@@ -113,11 +87,11 @@ class IdentityCheck(NamedTuple):
 def _catalog(lowering: _Block) -> list[tuple[str, str, float]]:
     """``(identity, paper equation, residual)`` of every catalog entry on the
     pair block whose ``sigma_-`` is ``lowering``."""
-    ops = _pauli_blocks(lowering)
-    minus, three = ops.sigma_minus, ops.sigma_three
+    minus, plus, three = lowering, lowering.dagger(), _DIAGONAL_BLOCKS["sigma_three"]
+    one, two = plus + minus, -1j * (plus - minus)
     eye, zero = _Block(1.0, 0, 0, 1.0), _Block(0.0, 0, 0, 0.0)
     p_even, p_odd = _DIAGONAL_BLOCKS["p_even"], _DIAGONAL_BLOCKS["p_odd"]
-    triple = {"sigma_one": ops.sigma_one, "sigma_two": ops.sigma_two, "sigma_three": ops.sigma_three}
+    triple = {"sigma_one": one, "sigma_two": two, "sigma_three": three}
 
     checks: list[tuple[str, str, _Block]] = []
     for name_i, op_i in triple.items():
@@ -125,23 +99,23 @@ def _catalog(lowering: _Block) -> list[tuple[str, str, float]]:
             target = 2.0 * eye if name_i == name_j else zero
             checks.append((f"anticomm_{name_i}_{name_j}", "(7)", anticommutator(op_i, op_j) - target))
 
-    for name, op, sign in (("sigma_plus", ops.sigma_plus, 1.0), ("sigma_minus", ops.sigma_minus, -1.0)):
-        checks.append((f"comm_{name}_sigma_one", "(9)", commutator(op, ops.sigma_one) - sign * ops.sigma_three))
-        checks.append((f"comm_{name}_sigma_two", "(9)", commutator(op, ops.sigma_two) - 1j * ops.sigma_three))
-        checks.append((f"comm_{name}_sigma_three", "(9)", commutator(op, ops.sigma_three) + 2.0 * sign * op))
-        checks.append((f"anticomm_{name}_sigma_one", "(10)", anticommutator(op, ops.sigma_one) - eye))
-        checks.append((f"anticomm_{name}_sigma_two", "(10)", anticommutator(op, ops.sigma_two) - sign * 1j * eye))
-        checks.append((f"anticomm_{name}_sigma_three", "(10)", anticommutator(op, ops.sigma_three)))
+    for name, op, sign in (("sigma_plus", plus, 1.0), ("sigma_minus", minus, -1.0)):
+        checks.append((f"comm_{name}_sigma_one", "(9)", commutator(op, one) - sign * three))
+        checks.append((f"comm_{name}_sigma_two", "(9)", commutator(op, two) - 1j * three))
+        checks.append((f"comm_{name}_sigma_three", "(9)", commutator(op, three) + 2.0 * sign * op))
+        checks.append((f"anticomm_{name}_sigma_one", "(10)", anticommutator(op, one) - eye))
+        checks.append((f"anticomm_{name}_sigma_two", "(10)", anticommutator(op, two) - sign * 1j * eye))
+        checks.append((f"anticomm_{name}_sigma_three", "(10)", anticommutator(op, three)))
 
-    checks.append(("comm_sigma_plus_sigma_minus", "(9)", commutator(ops.sigma_plus, ops.sigma_minus) - ops.sigma_three))
-    checks.append(("anticomm_sigma_plus_sigma_minus", "(10)", anticommutator(ops.sigma_plus, ops.sigma_minus) - eye))
-    checks.append(("sigma_plus_sigma_minus_equals_odd_projector", "(29)", ops.sigma_plus @ ops.sigma_minus - p_odd))
-    checks.append(("sigma_minus_sigma_plus_equals_even_projector", "(29)", ops.sigma_minus @ ops.sigma_plus - p_even))
-    checks.append(("sigma_three_equals_ladder_commutator", "(30)", three - commutator(ops.sigma_plus, minus)))
+    checks.append(("comm_sigma_plus_sigma_minus", "(9)", commutator(plus, minus) - three))
+    checks.append(("anticomm_sigma_plus_sigma_minus", "(10)", anticommutator(plus, minus) - eye))
+    checks.append(("sigma_plus_sigma_minus_equals_odd_projector", "(29)", plus @ minus - p_odd))
+    checks.append(("sigma_minus_sigma_plus_equals_even_projector", "(29)", minus @ plus - p_even))
+    checks.append(("sigma_three_equals_ladder_commutator", "(30)", three - commutator(plus, minus)))
     checks.append(("anticomm_sigma_minus_sigma_three_recheck", "(31)", anticommutator(minus, three)))
     checks.append(("comm_sigma_minus_sigma_three_recheck", "(32)", commutator(minus, three) - 2.0 * minus))
-    checks.append(("sigma_minus_squared", "(1)", ops.sigma_minus @ ops.sigma_minus))
-    checks.append(("sigma_plus_squared", "(1)", ops.sigma_plus @ ops.sigma_plus))
+    checks.append(("sigma_minus_squared", "(1)", minus @ minus))
+    checks.append(("sigma_plus_squared", "(1)", plus @ plus))
 
     return [(name, eq, diff.max_abs()) for name, eq, diff in checks]
 
