@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import mpmath
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from numpy.polynomial.laguerre import laggauss
 
-from bosepauli import quadrature
+from bosepauli import coherent, quadrature
 from bosepauli import (
     FockSpace,
     QuadratureGrid,
@@ -205,6 +206,30 @@ def test_phase_relation_is_exact_where_the_ladder_above_the_start_is_one_step():
     zs = radii * np.exp(1j * rng.uniform(-np.pi, np.pi, radii.size))
     for dim in (3, 5, 9, 65):
         assert max(phase_relation_residual(FockSpace(dim), z) for z in zs) == 0.0, dim
+
+
+def _scanned_coherent_ket(dim, z):
+    # Reference: coherent_ket with its shifted start found by a scan up from level 0,
+    # one level at a time, and the same first amplitude and ladder from there
+    z = complex(z)
+    log_first, start = -(abs(z) ** 2) / 2.0, 0
+    while log_first < math.log(sys.float_info.min) and start < dim - 1:
+        start += 1
+        log_first = -(abs(z) ** 2) / 2.0 + start * math.log(abs(z)) - 0.5 * math.lgamma(start + 1)
+    first = math.exp(log_first) * coherent._power(z / abs(z), start) if start else math.exp(log_first)
+    amps = np.zeros(dim, dtype=complex)
+    amps[start:] = coherent._ladder_amplitudes(z, first, np.sqrt(np.arange(start + 1, dim)))
+    return amps
+
+
+def test_coherent_ket_equals_the_scanned_start_ket_bit_for_bit():
+    # |z| up to 1.2 sqrt(dim) + 40 puts the start anywhere from level 0 to the top level
+    rng = np.random.default_rng(29)
+    for dim, count in ((2, 200), (3, 200), (64, 200), (4096, 100), (10**5, 4)):
+        radii = rng.uniform(0.0, 1.2 * math.sqrt(dim) + 40.0, count)
+        for z in radii * np.exp(1j * rng.uniform(-np.pi, np.pi, count)):
+            assert np.array_equal(coherent_ket(FockSpace(dim), z), _scanned_coherent_ket(dim, z)), (dim, z)
+    assert np.array_equal(coherent_ket(FockSpace(10**6), 1000.0), _scanned_coherent_ket(10**6, 1000.0))
 
 
 KET_FUNCTIONS = (coherent_ket, even_ket, odd_ket, phase_relation_residual)
@@ -689,6 +714,22 @@ def test_ladder_commutator_margin_zero_truncation_artifact():
 def test_ladder_commutator_margin_validation():
     with pytest.raises(ValueError):
         ladder_commutator_residual(FockSpace(4), lambda n: 1.0, margin=4)
+
+
+@pytest.mark.parametrize(
+    "margin, message",
+    (
+        (4, "margin must lie in 0..3, got 4"),
+        (10**20, "margin must lie in 0..3, got 100000000000000000000"),
+        (-1, "margin must be a non-negative integer, got -1"),
+        (True, "margin must be a non-negative integer, got True"),
+        (1.0, "margin must be a non-negative integer, got 1.0"),
+    ),
+    ids=repr,
+)
+def test_a_bad_margin_is_a_value_error_naming_it(margin, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ladder_commutator_residual(FockSpace(4), lambda n: 1.0, margin)
 
 
 # ------------------------------------------------- dense oracles for the band

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ def test_fock_ket_range_check():
         fock_ket(space, 4)
     with pytest.raises(IndexError):
         fock_ket(space, -1)
+
+
+@pytest.mark.parametrize("n", (True, False, 1.5, 2.0), ids=repr)
+def test_fock_ket_rejects_a_level_that_is_not_an_int_naming_n(n):
+    # numpy reads True as 1 in a mask, and ket[True] = 1.0 sets every level
+    with pytest.raises(ValueError, match=re.escape(f"level n must be a non-negative integer, got {n!r}")):
+        fock_ket(FockSpace(4), n)
 
 
 _unit_complex = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)

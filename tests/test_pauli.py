@@ -15,7 +15,9 @@ from bosepauli import (
     closed_form_sigma_minus,
     commutator,
     f_coefficient,
+    ladder_commutator_residual,
     max_abs_norm,
+    quadrature_grid,
     sigma_minus,
     sigma_three,
     two_level_restriction,
@@ -162,6 +164,55 @@ def test_every_exponent_entry_rejects_a_bad_l_with_one_message(entry, l):
     # isinstance(True, int) holds, so a bool needs its own rejection
     with pytest.raises(ValueError, match=re.escape(f"exponent l must be a positive integer, got {l!r}")):
         EXPONENT_ENTRIES[entry](l)
+
+
+# entry point and integer parameter -> (the parameter's name in the message, its least value,
+# the call with that parameter set to the value given and every other one valid)
+INTEGER_PARAMETERS = {
+    "BosonizationParams l": ("exponent l", 1, lambda value: BosonizationParams(value, FockSpace(4))),
+    "f_coefficient l": ("exponent l", 1, lambda value: f_coefficient(1, value)),
+    "f_coefficient n": ("level n", 0, lambda value: f_coefficient(value, 1)),
+    "verify_functional_equation l": ("exponent l", 1, lambda value: verify_functional_equation(value, 5)),
+    "verify_functional_equation n_max": ("n_max", 0, lambda value: verify_functional_equation(1, value)),
+    "quadrature_grid radial_count": ("radial_count", 1, lambda value: quadrature_grid(value, 4)),
+    "quadrature_grid angular_count": ("angular_count", 1, lambda value: quadrature_grid(4, value)),
+    "ladder_commutator_residual margin": (
+        "margin", 0, lambda value: ladder_commutator_residual(FockSpace(4), lambda n: 1.0, value)
+    ),
+    "fock_ket n": ("level n", 0, lambda value: fock_ket(FockSpace(4), value)),
+}
+# an int outside 0..dim-1 is an IndexError from fock_ket, as an index past a numpy array is
+_RANGE_CHECKED = {"fock_ket n"}
+
+
+def _shared_message(name, least, value):
+    return re.escape(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [
+        (entry, value)
+        for entry, (_, least, _) in INTEGER_PARAMETERS.items()
+        for value in (True, 1.5, *((-1,) if entry not in _RANGE_CHECKED else ()), *((0,) if least else ()))
+    ],
+    ids=repr,
+)
+def test_every_integer_parameter_rejects_a_bool_a_float_or_too_small_an_int_with_one_message(entry, value):
+    name, least, call = INTEGER_PARAMETERS[entry]
+    with pytest.raises(ValueError, match=f"^{_shared_message(name, least, value)}$"):
+        call(value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("entry", INTEGER_PARAMETERS)
+def test_no_integer_parameter_takes_a_bool_a_float_or_an_int_below_its_least(entry, data):
+    name, least, call = INTEGER_PARAMETERS[entry]
+    too_small = st.nothing() if entry in _RANGE_CHECKED else st.integers(max_value=least - 1)
+    value = data.draw(st.one_of(st.booleans(), st.floats(), too_small))
+    with pytest.raises(ValueError, match=f"^{_shared_message(name, least, value)}$"):
+        call(value)
 
 
 def test_sigma_minus_even_exponent_matrix():

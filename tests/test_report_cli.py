@@ -805,6 +805,31 @@ def test_library_suites_reject_a_repeated_list_entry(suite, args, message):
     assert str(error.value) == message
 
 
+# the library suites that take a tolerance, each called with one
+TOLERANT_SUITES = {
+    "algebra_suite": lambda tolerance: algebra_suite([2], [1], tolerance=tolerance),
+    "quadrature_suite": lambda tolerance: quadrature_suite(4, 4, 8, ["even-plain"], tolerance=tolerance),
+}
+
+
+@pytest.mark.parametrize("tolerance", (math.nan, math.inf, -math.inf, -1e-3, -1, True, False), ids=repr)
+@pytest.mark.parametrize("suite", TOLERANT_SUITES)
+def test_library_suites_reject_a_tolerance_that_is_not_finite_and_at_least_0(suite, tolerance):
+    # before, NaN wrote bare NaN tokens, inf passed every record and a negative one failed every record
+    with pytest.raises(ValueError) as error:
+        TOLERANT_SUITES[suite](tolerance)
+    assert str(error.value) == f"tolerance must be a finite number >= 0, got {tolerance}"
+
+
+@pytest.mark.parametrize("tolerance, text", ((-0.0, "0.0"), (0, "0"), (0.0, "0.0"), (1e-9, "1e-09"), (2, "2")))
+@pytest.mark.parametrize("suite", TOLERANT_SUITES)
+def test_library_suites_print_a_tolerance_unsigned_and_an_int_as_given(suite, tolerance, text):
+    report = TOLERANT_SUITES[suite](tolerance)
+    assert {record.tolerance for record in report.records} == {tolerance}
+    assert {str(record.tolerance) for record in report.records} == {text}
+    assert f'"tolerance": {text},' in report.to_json() and "-0.0" not in report.to_json()
+
+
 def test_no_benchmark_argv_repeats_a_list_entry():
     workloads = runpy.run_path(os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "workloads.py"))
     lists = [

@@ -114,6 +114,63 @@ def test_the_numpy_guard_sees_imports_at_every_level():
         assert not _imports_numpy(ast.parse(source)), source
 
 
+def _is_isinstance(node, type_name):
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "isinstance"
+        and len(node.args) == 2
+        and getattr(node.args[1], "id", None) == type_name
+    )
+
+
+def integer_predicates(tree):
+    """The name of each function, ``None`` at module level, that holds an
+    ``isinstance(x, bool) or not isinstance(x, int)`` test, once per test."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+        if (
+            isinstance(node, ast.BoolOp)
+            and isinstance(node.op, ast.Or)
+            and any(_is_isinstance(value, "bool") for value in node.values)
+            and any(isinstance(value, ast.UnaryOp) and _is_isinstance(value.operand, "int") for value in node.values)
+        ):
+            found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_integer_rule_is_written_once():
+    # each integer parameter is checked by bosepauli._count, not by a copy of its test
+    holders = [
+        (path.stem, function)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function in integer_predicates(ast.parse(path.read_text()))
+    ]
+    assert holders == [("__init__", "_count")]
+
+
+def test_the_integer_rule_guard_sees_the_test_wherever_it_is_written():
+    source = (
+        "def f(n):\n"
+        "    if isinstance(n, bool) or not isinstance(n, int) or n < 0:\n"
+        "        raise ValueError(n)\n"
+        "class C:\n"
+        "    def g(self, k):\n"
+        "        return [c for c in k if not (isinstance(c, bool) or not isinstance(c, int))]\n"
+        "h = lambda m: not isinstance(m, int) or isinstance(m, bool)\n"
+        "ok = isinstance(1, bool) or not isinstance(1, int)\n"
+        "def fine(x):\n"
+        "    return isinstance(x, bool) or not 0 <= x, not isinstance(x, int) or x < 2, isinstance(x, int)\n"
+    )
+    assert integer_predicates(ast.parse(source)) == ["f", "g", "<lambda>", None]
+
+
 # name moved off the paths of verify and grassmann -> (its home, the modules that still give it by that name)
 MOVED = {
     **dict.fromkeys(("sigma_minus", "sigma_three"), ("dense", ("pauli",))),
