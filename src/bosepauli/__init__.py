@@ -10,12 +10,13 @@ catalog, the functional equation, the quadrature grid and residual, the
 Grassmann eigenvector check and the report records) and all four subcommands
 run without numpy; only ``coherent`` and ``dense``, the dense views, import it.
 
-The version and the names and defaults the command line offers are defined
-here, since every process loads this module; the modules that use them
-import them from it.
+The version, the names and defaults the command line offers, and the checks
+of an integer parameter and of a tolerance are defined here, since every
+process loads this module; the modules that use them import them from it.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
@@ -81,6 +82,20 @@ def _lazy(namespace: dict, table: dict[str, str]):
         return value
 
     return __getattr__
+
+
+def _count(name: str, value, least: int = 0) -> int:
+    """``value``, checked to be an ``int`` of at least ``least`` (0 or 1) that is not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value!r}")
+    return value
+
+
+def _tolerance(name: str, value):
+    """``value + 0`` (``0.0`` for ``-0.0``), checked to be a finite number >= 0 that is not a ``bool``."""
+    if isinstance(value, bool) or not 0 <= value < math.inf:  # false for NaN too
+        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+    return value + 0
 
 
 __getattr__ = _lazy(globals(), _EXPORTS)

@@ -9,19 +9,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from . import _count
 from .fock import FockSpace
 
 
 def _cos_half_pi(n: int) -> int:
     """``cos(pi n / 2)`` as an exact integer, by case analysis on ``n mod 4``."""
     return (1, 0, -1, 0)[n % 4]
-
-
-def _exponent(l: int) -> int:
-    """``l``, checked to be an ``int`` of at least 1; a ``bool`` is not one."""
-    if isinstance(l, bool) or not isinstance(l, int) or l < 1:
-        raise ValueError(f"exponent l must be a positive integer, got {l!r}")
-    return l
 
 
 class BosonizationParams(NamedTuple("BosonizationParams", [("l", int), ("space", FockSpace)])):
@@ -35,7 +29,7 @@ class BosonizationParams(NamedTuple("BosonizationParams", [("l", int), ("space",
     __slots__ = ()
 
     def __new__(cls, l: int, space: FockSpace):
-        _exponent(l)
+        _count("exponent l", l, 1)
         if space.dim % 2 != 0:
             raise ValueError(f"dim={space.dim} is odd; the pseudospin algebra only closes on even truncations")
         return super().__new__(cls, l, space)

@@ -15,12 +15,11 @@ loads only to print ``--help`` and usage errors.
 from __future__ import annotations
 
 import gc
-import math
 import os
 import sys
 import types
 
-from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _lazy
+from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _lazy, _tolerance
 
 # entry point, or the list check the suites share, -> the module that defines
 # it, imported on first use (PEP 562), so --help and the usage errors of
@@ -159,11 +158,9 @@ def main(argv=None) -> int:
     for dest, value in vars(args).items():
         if value == []:  # argparse stores a value of "--" (--dim=--) as []; _int_list never returns []
             args.usage_error(f"argument --{dest}: expected one argument")
-    if not 0 <= getattr(args, "tol", 0.0) < math.inf:  # false for NaN too
-        args.usage_error(f"--tol must be a finite number >= 0, got {args.tol}")
-    if hasattr(args, "tol"):
-        args.tol += 0.0  # -0.0 passes the range check; reports print it unsigned
     try:
+        if hasattr(args, "tol"):
+            args.tol = _tolerance("--tol", args.tol)
         return _dispatch(args)
     except ValueError as exc:  # a parameter the library rejects is a usage error
         args.usage_error(str(exc))

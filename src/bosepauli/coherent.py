@@ -16,22 +16,21 @@ are computed on it in O(dim).
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 
 import numpy as np
 
+from . import _count
 from .fock import FockSpace
 
 _LOG_SMALLEST_NORMAL = math.log(sys.float_info.min)
 
 
 def max_abs_norm(arr: np.ndarray) -> float:
-    """Largest entrywise modulus, the residual statistic used throughout."""
-    arr = np.asarray(arr)
-    if arr.size == 0:
-        return 0.0
-    return float(np.max(np.abs(arr)))
+    """Largest entrywise modulus, the residual statistic used throughout; 0.0 when empty."""
+    return float(np.max(np.abs(arr), initial=0.0))
 
 
 def _ladder_amplitudes(z: complex, first, divisors: np.ndarray) -> np.ndarray:
@@ -59,7 +58,8 @@ def coherent_ket(space: FockSpace, z: complex) -> np.ndarray:
     The recursion starts at level 0 unless ``exp(-|z|^2/2)`` underflows
     (``|z|`` above about 37.6). Then it starts at the first level whose
     log-amplitude ``-|z|^2/2 + n log|z| - lgamma(n+1)/2`` is that of a normal
-    double, and the levels below it, all smaller than about 1e-308, are 0.
+    double, or at the top level if none is, and the levels below it, all
+    smaller than about 1e-308, are 0. That level is found in ``O(log dim)``.
     Its phase ``(z/|z|)^start`` is a product, so the ket at ``iz`` is exactly the
     ket at ``z`` times ``i^n`` on level ``n``. A ``z`` with a part that is not finite,
     or with ``|z|`` above about 1.34e154, where ``|z|^2`` overflows, is a ``ValueError``.
@@ -72,9 +72,10 @@ def coherent_ket(space: FockSpace, z: complex) -> np.ndarray:
     if not math.isfinite(log_first):
         raise ValueError(f"the coherent amplitudes cannot be computed at z={given!r}")
     start = 0
-    while log_first < _LOG_SMALLEST_NORMAL and start < space.dim - 1:
-        start += 1
-        log_first = -(abs(z) ** 2) / 2.0 + start * math.log(abs(z)) - 0.5 * math.lgamma(start + 1)
+    if log_first < _LOG_SMALLEST_NORMAL:  # the log-amplitude rises on 0 .. |z|^2, so bisect there
+        log_level = lambda n: -(abs(z) ** 2) / 2.0 + n * math.log(abs(z)) - 0.5 * math.lgamma(n + 1)  # noqa: E731
+        start = bisect.bisect_left(range(min(space.dim - 1, int(abs(z) ** 2))), _LOG_SMALLEST_NORMAL, key=log_level)
+        log_first = log_level(start)
     first = math.exp(log_first) * _power(z / abs(z), start) if start else math.exp(log_first)
     amps = np.zeros(space.dim, dtype=complex)
     amps[start:] = _ladder_amplitudes(z, first, np.sqrt(np.arange(start + 1, space.dim)))
@@ -124,7 +125,7 @@ def _band(space: FockSpace, f) -> tuple[np.ndarray, np.ndarray]:
         values = np.asarray(f, dtype=complex)
         if values.shape != (space.dim,):
             raise ValueError(f"expected {space.dim} deformation values, got shape {values.shape}")
-    if not np.all(np.isfinite(values.real) & np.isfinite(values.imag)):
+    if not np.all(np.isfinite(values)):
         raise ValueError("deformation values must be finite")
     zeros = np.flatnonzero(values[:-1] == 0)
     if zeros.size:
@@ -174,9 +175,10 @@ def ladder_commutator_residual(space: FockSpace, f, margin: int = 1) -> float:
     ``L_n R_n - R_(n-1) L_(n-1)`` on level ``n``, a term being 0 where its index
     leaves ``0 .. dim-2``. With ``margin = 0`` the truncation edge contributes a
     spurious defect of about ``dim`` at the top level, so ``margin = 1`` is the
-    meaningful check. An ``R_n`` that overflows is a ``ValueError`` naming ``n``.
+    meaningful check. A ``margin`` that is not an ``int`` in ``0 .. dim-1``, or an
+    ``R_n`` that overflows, is a ``ValueError`` naming it.
     """
-    if not 0 <= margin < space.dim:
+    if _count("margin", margin) >= space.dim:
         raise ValueError(f"margin must lie in 0..{space.dim - 1}, got {margin}")
     values, band = _band(space, f)
     with np.errstate(over="ignore", invalid="ignore"):

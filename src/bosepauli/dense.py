@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import _count
 from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block
 from .dump import _entries, _named_blocks
 from .fock import FockSpace
@@ -79,7 +80,7 @@ class GrassmannKet(_Value):
         for name, part in (("body", body), ("soul", soul)):
             if part.shape != (space.dim,):
                 raise ValueError(f"{name} amplitude vector has shape {part.shape}, expected ({space.dim},)")
-            if not np.all(np.isfinite(part.real) & np.isfinite(part.imag)):
+            if not np.all(np.isfinite(part)):
                 raise ValueError(f"Grassmann ket {name} amplitudes must be finite")
         super().__init__(space, body, soul)
 
@@ -107,9 +108,10 @@ def max_abs_amplitude(ket: GrassmannKet) -> float:
 
 
 def fock_ket(space: FockSpace, n: int) -> np.ndarray:
-    """Basis ket ``|n>``."""
-    if not 0 <= n < space.dim:
+    """Basis ket ``|n>``: ``IndexError`` for an ``int`` off ``0 .. dim-1``, ``ValueError`` for a non-``int``."""
+    if isinstance(n, int) and not 0 <= n < space.dim:
         raise IndexError(f"level {n} outside 0..{space.dim - 1}")
+    _count("level n", n)
     ket = np.zeros(space.dim, dtype=complex)
     ket[n] = 1.0
     return ket

@@ -14,9 +14,9 @@ class in a process, on 2x2 matrices of Python ``complex`` with entries in
 ``{0, +-1, +-i}``: their products and sums round nowhere, so the catalog is
 exact on every distinct block, and every block of the truncation is one of
 them. That certificate, like the functional equation, needs no numpy: the
-commutators take pair blocks as well as matrices. The blocks, the exponent
-check and ``BosonizationParams`` come from :mod:`bosepauli.blocks`. The
-dense views live in :mod:`bosepauli.dense`.
+commutators take pair blocks as well as matrices. The blocks and
+``BosonizationParams`` come from :mod:`bosepauli.blocks`. The dense views
+live in :mod:`bosepauli.dense`.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import functools
 import math
 from typing import NamedTuple
 
-from . import _lazy, blocks
-from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi, _exponent
+from . import _count, _lazy, blocks
+from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi
 
 # two dense views under their old names, resolved in bosepauli.dense on first use (PEP 562);
 # kept only because the site table of perfbench/tracing.py looks them up here
@@ -41,9 +41,7 @@ def f_coefficient(n: int, l: int) -> float:
     sign carries no rounding. A level ``n`` that is not an ``int`` of at least
     0, a ``bool`` included, is a ``ValueError``.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"level n must be a non-negative integer, got {n!r}")
-    return _cos_half_pi(n) ** _exponent(l) / math.sqrt(n + 1)
+    return _cos_half_pi(_count("level n", n)) ** _count("exponent l", l, 1) / math.sqrt(n + 1)
 
 
 def verify_functional_equation(l: int, n_max: int) -> float:
@@ -58,9 +56,8 @@ def verify_functional_equation(l: int, n_max: int) -> float:
     An ``n_max`` that is not an ``int`` of at least 0, a ``bool`` included, is
     a ``ValueError``.
     """
-    _exponent(l)
-    if isinstance(n_max, bool) or not isinstance(n_max, int) or n_max < 0:
-        raise ValueError(f"n_max must be a non-negative integer, got {n_max!r}")
+    _count("exponent l", l, 1)
+    _count("n_max", n_max)
     table = [_cos_half_pi(r) ** (2 * l) for r in range(4)]  # c_n by n mod 4
     sums = [table[0]] + [table[n % 4] + table[n - 1] for n in range(1, min(n_max, 4) + 1)]  # c_n + c_(n-1), c_(-1) = 0
     return float(max(abs(c - 1) for c in sums))

@@ -22,7 +22,7 @@ import math
 from operator import mul
 from typing import NamedTuple
 
-from . import RESOLUTION_VARIANTS
+from . import RESOLUTION_VARIANTS, _count
 from .fock import FockSpace
 
 _NEWTON_STEPS = 100  # per Newton solve; converged ones take a handful
@@ -193,9 +193,8 @@ def quadrature_grid(radial_count: int, angular_count: int) -> QuadratureGrid:
     """Build a :class:`QuadratureGrid` with ``radial_count`` Laguerre nodes
     and ``angular_count`` uniform angles. A count that is not an ``int`` of
     at least 1, a ``bool`` included, is a ``ValueError`` naming it."""
-    for name, count in (("radial_count", radial_count), ("angular_count", angular_count)):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise ValueError(f"{name} must be a positive integer, got {count!r}")
+    _count("radial_count", radial_count, 1)
+    _count("angular_count", angular_count, 1)
     return QuadratureGrid(*laguerre_rule(radial_count), angular_count)
 
 

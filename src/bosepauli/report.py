@@ -13,9 +13,10 @@ from __future__ import annotations
 import io
 import math
 import sys
+import types
 from typing import NamedTuple
 
-from . import _QUADRATURE_TOLERANCE, RESOLUTION_VARIANTS, __version__, _lazy
+from . import _QUADRATURE_TOLERANCE, RESOLUTION_VARIANTS, __version__, _lazy, _tolerance
 from .fock import FockSpace
 
 try:  # the C accelerator that json.encoder wraps, without loading the json package
@@ -101,22 +102,11 @@ class CheckRecord(NamedTuple):
         return "{" + ", ".join([texts[key] for key in sorted(texts)]) + "}", indented
 
 
-class VerificationReport:
+class VerificationReport(types.SimpleNamespace):
     """Check records, filled in place, and the version of the tool that made them."""
 
     def __init__(self, records: list[CheckRecord] | None = None, tool_version: str = __version__):
-        self.records = [] if records is None else records
-        self.tool_version = tool_version
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.records, self.tool_version) == (other.records, other.tool_version)
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        return f"VerificationReport(records={self.records!r}, tool_version={self.tool_version!r})"
+        super().__init__(records=[] if records is None else records, tool_version=tool_version)
 
     def _ordered(self) -> list[tuple[CheckRecord, tuple[str, str]]]:
         """Each record with its ``_params_json`` texts, in report order:
@@ -201,8 +191,9 @@ def _distinct(*lists: tuple[str, list]) -> None:
 def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> VerificationReport:
     """Functional-equation and identity-catalog records over dims x ls, each
     ``(dim, l)`` from its own :func:`~bosepauli.pauli.algebra_residuals`.
-    A repeated entry of ``dims`` or ``ls`` is a ``ValueError``, as in every suite."""
+    A repeated list entry is a ``ValueError``, as in every suite, and so is a bad ``tolerance``."""
     _distinct(("dims", dims), ("ls", ls))
+    tolerance = _tolerance("tolerance", tolerance)
     records = []
     for l in ls:
         residual = _this.verify_functional_equation(l, FUNCTIONAL_EQUATION_N_MAX)
@@ -224,6 +215,7 @@ def quadrature_suite(
     residual per parity: a phased residual is the plain one of its parity
     (see :func:`~bosepauli.quadrature.resolution_residual`)."""
     _distinct(("variants", variants))
+    tolerance = _tolerance("tolerance", tolerance)
     space = FockSpace(dim)
     grid = _this.quadrature_grid(radial, angular)
     under_resolved = not grid.resolves(dim)
