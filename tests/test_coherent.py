@@ -716,19 +716,10 @@ def test_ladder_commutator_margin_validation():
         ladder_commutator_residual(FockSpace(4), lambda n: 1.0, margin=4)
 
 
-@pytest.mark.parametrize(
-    "margin, message",
-    (
-        (4, "margin must lie in 0..3, got 4"),
-        (10**20, "margin must lie in 0..3, got 100000000000000000000"),
-        (-1, "margin must be a non-negative integer, got -1"),
-        (True, "margin must be a non-negative integer, got True"),
-        (1.0, "margin must be a non-negative integer, got 1.0"),
-    ),
-    ids=repr,
-)
-def test_a_bad_margin_is_a_value_error_naming_it(margin, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+@pytest.mark.parametrize("margin", (4, 10**20), ids=repr)
+def test_a_margin_past_the_top_level_is_a_value_error_naming_the_range(margin):
+    # a bool, a float or a negative margin gets the shared integer message (tests/test_pauli.py)
+    with pytest.raises(ValueError, match=f"^margin must lie in 0..3, got {margin}$"):
         ladder_commutator_residual(FockSpace(4), lambda n: 1.0, margin)
 
 

@@ -812,13 +812,14 @@ TOLERANT_SUITES = {
 }
 
 
-@pytest.mark.parametrize("tolerance", (math.nan, math.inf, -math.inf, -1e-3, -1, True, False), ids=repr)
+@pytest.mark.parametrize("tolerance", (math.nan, math.inf, -math.inf, -1e-3, -1, True, False, "0", None), ids=repr)
 @pytest.mark.parametrize("suite", TOLERANT_SUITES)
 def test_library_suites_reject_a_tolerance_that_is_not_finite_and_at_least_0(suite, tolerance):
-    # before, NaN wrote bare NaN tokens, inf passed every record and a negative one failed every record
+    # before, NaN wrote bare NaN tokens, inf passed every record, a negative one failed every
+    # record, and a text or None raised a TypeError from the first comparison
     with pytest.raises(ValueError) as error:
         TOLERANT_SUITES[suite](tolerance)
-    assert str(error.value) == f"tolerance must be a finite number >= 0, got {tolerance}"
+    assert str(error.value) == f"tolerance must be a finite number >= 0, got {tolerance!r}"
 
 
 @pytest.mark.parametrize("tolerance, text", ((-0.0, "0.0"), (0, "0"), (0.0, "0.0"), (1e-9, "1e-09"), (2, "2")))
