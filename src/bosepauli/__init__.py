@@ -92,9 +92,9 @@ def _count(name: str, value, least: int = 0) -> int:
 
 
 def _tolerance(name: str, value):
-    """``value + 0`` (``0.0`` for ``-0.0``), checked to be a finite number >= 0 that is not a ``bool``."""
-    if isinstance(value, bool) or not 0 <= value < math.inf:  # false for NaN too
-        raise ValueError(f"{name} must be a finite number >= 0, got {value}")
+    """``value + 0`` (``0.0`` for ``-0.0``), checked to be a finite ``int`` or ``float`` >= 0, not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:  # false for NaN too
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
     return value + 0
 
 
