@@ -23,6 +23,24 @@ def test_space_rejects_fewer_than_two_levels():
         FockSpace(0)
 
 
+@pytest.mark.parametrize("dim", (4.0, np.int64(4), "4", True, None), ids=repr)
+def test_space_rejects_a_dim_that_is_not_an_int_by_the_integer_rule(dim):
+    # before, each was blamed on the level count: "a Fock space needs at least two levels"
+    with pytest.raises(ValueError) as error:
+        FockSpace(dim)
+    assert str(error.value) == f"dim must be a positive integer, got {dim!r}"
+
+
+def test_space_keeps_the_two_level_message_for_one_level_and_the_integer_rule_below_it():
+    with pytest.raises(ValueError) as error:
+        FockSpace(1)
+    assert str(error.value) == "a Fock space needs at least two levels, got dim=1"
+    for dim in (0, -3):
+        with pytest.raises(ValueError) as error:
+            FockSpace(dim)
+        assert str(error.value) == f"dim must be a positive integer, got {dim}"
+
+
 def test_annihilator_two_levels_is_sigma_minus_matrix():
     assert np.array_equal(annihilator(FockSpace(2)), np.array([[0, 1], [0, 0]], dtype=complex))
 

@@ -1,4 +1,5 @@
 import io
+import operator
 import re
 from contextlib import redirect_stdout
 
@@ -87,6 +88,17 @@ def test_pure_souls_are_nilpotent(soul):
 
 
 # ------------------------------------------------------------------- kets
+
+
+@pytest.mark.parametrize(
+    "operation, left, right",
+    ((operator.add, THETA, "x"), (operator.sub, THETA, "x"), (operator.sub, "x", THETA), (operator.mul, THETA, object())),
+    ids=("theta+text", "theta-text", "text-theta", "theta*object"),
+)
+def test_scalar_arithmetic_with_a_value_that_is_not_a_number_is_a_type_error(operation, left, right):
+    # GrassmannScalar returns NotImplemented, and Python raises when the other side declines too
+    with pytest.raises(TypeError):
+        operation(left, right)
 
 
 def test_ket_amplitude_round_trip():

@@ -315,6 +315,20 @@ def test_quadrature_and_grassmann_reports_match_json_dumps():
         assert report.to_csv() == _reference_csv(report)
 
 
+def test_report_json_is_the_same_without_the_json_accelerator():
+    # a Python without the _json extension escapes strings with json.encoder's own function
+    code = (
+        "import sys; sys.modules['_json'] = None\n"
+        "import json.encoder\n"
+        "from bosepauli import report\n"
+        "assert report.encode_basestring_ascii is json.encoder.py_encode_basestring_ascii\n"
+        "sys.stdout.write(report.algebra_suite([2, 4], [1, 2]).to_json())"
+    )
+    proc = _run_from_source_tree("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == algebra_suite([2, 4], [1, 2]).to_json()
+
+
 def test_json_round_trip():
     report = algebra_suite([2, 4], [1, 2])
     parsed = json.loads(report.to_json())
@@ -697,6 +711,14 @@ def test_cli_range_checks_every_repeated_tolerance(command):
     proc = _run(*command, "--tol", "-1e-3", "--tol", "1")  # the last one counts
     assert proc.returncode == 0
     assert {record["tolerance"] for record in json.loads(proc.stdout)["records"]} == {1.0}
+
+
+@pytest.mark.parametrize("command", (("grassmann", "--dims", "2", "--ls", "1"), ("dump", "--op", "p_odd", "--dim", "2")))
+def test_cli_names_a_tol_the_subcommand_does_not_take_as_it_was_typed(command, capsys):
+    # before, main rewrote --tol 0 as --tol=0 in every argv, and argparse named that token
+    usage, error = _cli_usage_error(capsys, *command, "--tol", "0")
+    assert error == "bosepauli: error: unrecognized arguments: --tol 0"
+    assert usage[0].startswith("usage: bosepauli [-h]")
 
 
 def _cli_usage_error(capsys, *argv):
@@ -1282,6 +1304,16 @@ def test_each_subcommand_loads_only_the_domain_modules_it_calls(args, tmp_path):
     loaded, absent = LOADED_MODULES[args]
     assert {"bosepauli.cli", *loaded} <= modules
     assert modules.isdisjoint(absent)
+
+
+@pytest.mark.parametrize("argv", REPEATED_ENTRIES)
+def test_a_repeated_list_entry_is_rejected_before_any_package_module_beyond_cli_loads(argv, tmp_path):
+    # before, the list check loaded report, and report loaded fock
+    proc, modules = _run_recording_modules(tmp_path, *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"bosepauli {argv[0]}: error: {REPEATED_ENTRIES[argv]}"
+    assert {name for name in modules if name.partition(".")[0] == "bosepauli"} == {"bosepauli", "bosepauli.cli"}
 
 
 @pytest.mark.parametrize("module", ("bosepauli.pauli", "bosepauli.grassmann"))
