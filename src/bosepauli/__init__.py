@@ -10,9 +10,11 @@ catalog, the functional equation, the quadrature grid and residual, the
 Grassmann eigenvector check and the report records) and all four subcommands
 run without numpy; only ``coherent`` and ``dense``, the dense views, import it.
 
-The version, the names and defaults the command line offers, and the checks
-of an integer parameter and of a tolerance are defined here, since every
-process loads this module; the modules that use them import them from it.
+The version, the names and defaults the command line offers, the module
+that defines each lazily loaded name, and the checks of an integer
+parameter, of a tolerance and of a list's entries are defined here, since
+every process loads this module; the modules that use them import them
+from it.
 """
 
 import importlib
@@ -65,20 +67,23 @@ _EXPORTS = {
     "grassmann_suite": "report",
 }
 __all__ = ["__version__", "RESOLUTION_VARIANTS", *_EXPORTS]
+# every lazily loaded name -> the module that defines it: the public names, and
+# the dump entry points that ``cli`` gives and the basis ket that ``grassmann`` gives
+_HOMES = {**_EXPORTS, "named_operator": "dump", "matrix_to_json": "dump", "matrix_to_csv": "dump", "fock_ket": "dense"}
 
 
-def _lazy(namespace: dict, table: dict[str, str]):
-    """A module ``__getattr__`` (PEP 562) that imports each name of ``table`` from the
-    package module it maps to, on first use, and keeps it in ``namespace``.
+def _lazy(namespace: dict, names):
+    """A module ``__getattr__`` (PEP 562) that imports each of ``names`` from
+    its module in ``_HOMES``, on first use, and keeps it in ``namespace``.
 
     ``delattr`` removes only the kept value, and the next lookup imports the
     name again. A name set to ``None`` stays ``None``, which hides it from a
     caller that reads ``None`` as absent."""
 
     def __getattr__(name: str):
-        if name not in table:
+        if name not in names:
             raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        value = namespace[name] = getattr(importlib.import_module(f".{table[name]}", __name__), name)
+        value = namespace[name] = getattr(importlib.import_module(f".{_HOMES[name]}", __name__), name)
         return value
 
     return __getattr__
@@ -98,4 +103,15 @@ def _tolerance(name: str, value):
     return value + 0
 
 
-__getattr__ = _lazy(globals(), _EXPORTS)
+def _distinct(*lists: tuple[str, list]) -> None:
+    """Reject a ``(name, values)`` list that repeats an entry, since its records
+    would repeat too. The CLI checks its options here, under their own names."""
+    for name, values in lists:
+        seen = set()
+        for value in values:
+            if value in seen:
+                raise ValueError(f"{name} entries must be distinct, got {value} twice")
+            seen.add(value)
+
+
+__getattr__ = _lazy(globals(), _EXPORTS.keys())

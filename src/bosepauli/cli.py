@@ -19,24 +19,16 @@ import os
 import sys
 import types
 
-from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _lazy, _tolerance
+from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _distinct, _lazy, _tolerance
 
-# entry point, or the list check the suites share, -> the module that defines
-# it, imported on first use (PEP 562), so --help and the usage errors of
-# parsing load none of them. ``_dispatch`` calls them as attributes of this
-# module, through ``_this``, so that a wrapper set on the module attribute is
-# the one it calls.
-_ENTRY_POINTS = {
-    "algebra_suite": "report",
-    "quadrature_suite": "report",
-    "grassmann_suite": "report",
-    "named_operator": "dump",
-    "matrix_to_json": "dump",
-    "matrix_to_csv": "dump",
-    "_distinct": "report",
-}
+# the entry points, each imported from its module on first use (PEP 562), so
+# --help and every usage error load none of them. ``_dispatch`` calls them as
+# attributes of this module, through ``_this``, so that a wrapper set on the
+# module attribute is the one it calls.
 _this = sys.modules[__name__]
-__getattr__ = _lazy(globals(), _ENTRY_POINTS)
+__getattr__ = _lazy(
+    globals(), ("algebra_suite", "quadrature_suite", "grassmann_suite", "named_operator", "matrix_to_json", "matrix_to_csv")
+)
 
 
 def _int_list(text: str) -> list[int]:
@@ -149,11 +141,11 @@ def _emit(report, fmt: str) -> int:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    at = 0
-    while at < len(argv) - 1:  # each --tol VALUE as --tol=VALUE: argparse takes a VALUE like -1e-3 or -inf for an option
-        if argv[at] == "--tol":
-            argv[at : at + 2] = ["--tol=" + argv[at + 1]]
-        at += 1
+    # in a subcommand that has --tol, each --tol VALUE as --tol=VALUE: argparse
+    # takes a VALUE like -1e-3 or -inf for an option
+    while "--tol" in argv[:-1] and argv[0] in _COMMANDS and "tol" in _COMMANDS[argv[0]][1]:
+        at = argv.index("--tol")
+        argv[at : at + 2] = ["--tol=" + argv[at + 1]]
     args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
     for dest, value in vars(args).items():
         if value == []:  # argparse stores a value of "--" (--dim=--) as []; _int_list never returns []
@@ -173,7 +165,7 @@ def _dispatch(args) -> int:
         for l in args.ls:
             if l < 1:
                 error(f"--ls entries must be positive, got {l}")
-        _this._distinct(("--dims", args.dims), ("--ls", args.ls))  # the suites' own check, naming the options
+        _distinct(("--dims", args.dims), ("--ls", args.ls))  # the suites' own check, naming the options
         if args.command == "grassmann":
             return _emit(_this.grassmann_suite(args.dims, args.ls), args.format)
         return _emit(_this.algebra_suite(args.dims, args.ls, args.tol), args.format)
@@ -189,7 +181,7 @@ def _dispatch(args) -> int:
             unknown = [v for v in variants if v not in RESOLUTION_VARIANTS]
             if not variants or unknown:
                 error(f"--variants must name variants among {RESOLUTION_VARIANTS}")
-            _this._distinct(("--variants", variants))
+            _distinct(("--variants", variants))
         return _emit(_this.quadrature_suite(args.dim, args.radial, args.angular, variants, args.tol), args.format)
 
     # dump

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import _count
-from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block
+from .blocks import BosonizationParams, _Block
 from .dump import _entries, _named_blocks
 from .fock import FockSpace
 from .grassmann import GrassmannScalar, _Value
@@ -56,9 +56,7 @@ def sigma_three(space: FockSpace) -> np.ndarray:
     opposite to the common ``sigma_z``; it is the closed form of the ladder
     commutator ``[sigma_+, sigma_-]`` on even truncations.
     """
-    if space.dim % 2 != 0:
-        raise ValueError(f"dim={space.dim} is odd; sigma_three needs an even truncation")
-    return _direct_sum([_DIAGONAL_BLOCKS["sigma_three"]] * (space.dim // 2))
+    return _direct_sum(_named_blocks("sigma_three", BosonizationParams(1, space)))  # rejects an odd dim
 
 
 def two_level_restriction(op: np.ndarray) -> np.ndarray:

@@ -10,6 +10,8 @@ This module imports no numpy, so every subcommand loads it.
 
 from typing import NamedTuple
 
+from . import _count
+
 
 class FockSpace(NamedTuple("FockSpace", [("dim", int)])):
     """Truncated Fock space holding the number states ``|0> .. |dim-1>``."""
@@ -17,6 +19,6 @@ class FockSpace(NamedTuple("FockSpace", [("dim", int)])):
     __slots__ = ()
 
     def __new__(cls, dim: int):
-        if not isinstance(dim, int) or dim < 2:
+        if _count("dim", dim, 1) < 2:
             raise ValueError(f"a Fock space needs at least two levels, got dim={dim!r}")
         return super().__new__(cls, dim)

@@ -19,9 +19,9 @@ from numbers import Number
 from . import _lazy, blocks  # block 0 is looked up when called, as the catalog's blocks are
 from .fock import FockSpace
 
-# two dense helpers under their old names, resolved in bosepauli.dense on first use (PEP 562);
+# two dense helpers under their old names, resolved on first use (PEP 562);
 # kept only because the site table of perfbench/tracing.py looks them up here
-__getattr__ = _lazy(globals(), dict.fromkeys(("apply_operator", "fock_ket"), "dense"))
+__getattr__ = _lazy(globals(), ("apply_operator", "fock_ket"))
 
 
 def _coerce(value):

@@ -28,9 +28,9 @@ from typing import NamedTuple
 from . import _count, _lazy, blocks
 from .blocks import _DIAGONAL_BLOCKS, BosonizationParams, _Block, _cos_half_pi
 
-# two dense views under their old names, resolved in bosepauli.dense on first use (PEP 562);
+# two dense views under their old names, resolved on first use (PEP 562);
 # kept only because the site table of perfbench/tracing.py looks them up here
-__getattr__ = _lazy(globals(), dict.fromkeys(("sigma_minus", "sigma_three"), "dense"))
+__getattr__ = _lazy(globals(), ("sigma_minus", "sigma_three"))
 
 
 def f_coefficient(n: int, l: int) -> float:

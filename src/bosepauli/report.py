@@ -16,7 +16,7 @@ import sys
 import types
 from typing import NamedTuple
 
-from . import _QUADRATURE_TOLERANCE, RESOLUTION_VARIANTS, __version__, _lazy, _tolerance
+from . import _QUADRATURE_TOLERANCE, RESOLUTION_VARIANTS, __version__, _distinct, _lazy, _tolerance
 from .fock import FockSpace
 
 try:  # the C accelerator that json.encoder wraps, without loading the json package
@@ -24,20 +24,14 @@ try:  # the C accelerator that json.encoder wraps, without loading the json pack
 except ImportError:
     from json.encoder import encode_basestring_ascii
 
-# name -> the domain module it comes from, imported on first use (PEP 562).
-# The suites read these as attributes of this module, through ``_this``, so
-# that a wrapper set on the module attribute is the one they call.
-_DOMAIN_NAMES = {
-    "BosonizationParams": "blocks",
-    "algebra_residuals": "pauli",
-    "verify_functional_equation": "pauli",
-    "GrassmannScalar": "grassmann",
-    "eigen_check": "grassmann",
-    "quadrature_grid": "quadrature",
-    "resolution_residual": "quadrature",
-}
+# the domain names the suites call, each imported from its module on first use
+# (PEP 562). The suites read them as attributes of this module, through
+# ``_this``, so that a wrapper set on the module attribute is the one they call.
 _this = sys.modules[__name__]
-__getattr__ = _lazy(globals(), _DOMAIN_NAMES)
+__getattr__ = _lazy(globals(), (
+    "BosonizationParams", "algebra_residuals", "verify_functional_equation", "GrassmannScalar", "eigen_check",
+    "quadrature_grid", "resolution_residual",
+))
 
 
 FUNCTIONAL_EQUATION_N_MAX = 1000
@@ -175,17 +169,6 @@ class VerificationReport(types.SimpleNamespace):
                 ]
             )
         return out.getvalue()
-
-
-def _distinct(*lists: tuple[str, list]) -> None:
-    """Reject a ``(name, values)`` list that repeats an entry, since its records
-    would repeat too. The CLI checks its options here, under their own names."""
-    for name, values in lists:
-        seen = set()
-        for value in values:
-            if value in seen:
-                raise ValueError(f"{name} entries must be distinct, got {value} twice")
-            seen.add(value)
 
 
 def algebra_suite(dims: list[int], ls: list[int], tolerance: float = 0.0) -> VerificationReport:
