@@ -734,9 +734,9 @@ def _cli_usage_error(capsys, *argv):
 # subcommand -> (arguments its own checks reject, message)
 USAGE_ERRORS = {
     "verify": (("--dims", "2,3", "--ls", "1"), "--dims entries must be even and >= 2, got 3"),
-    "quadrature": (("--dim", "4", "--radial", "0"), "--radial and --angular must be >= 1"),
-    "grassmann": (("--dims", "2", "--ls", "1,0"), "--ls entries must be positive, got 0"),
-    "dump": (("--op", "p_odd", "--dim", "4", "--l", "0"), "--l must be positive, got 0"),
+    "quadrature": (("--dim", "4", "--radial", "0"), "--radial must be a positive integer, got 0"),
+    "grassmann": (("--dims", "2", "--ls", "1,0"), "--ls entries must be a positive integer, got 0"),
+    "dump": (("--op", "p_odd", "--dim", "4", "--l", "0"), "--l must be a positive integer, got 0"),
 }
 
 
@@ -757,6 +757,14 @@ def test_cli_usage_errors_name_the_subcommand(case, capsys):
     # the usage argparse prints for its own errors in this subcommand
     assert usage == _cli_usage_error(capsys, command, *args, "--format", "xml")[0]
     assert usage[0].startswith(f"usage: bosepauli {command} [-h]")
+
+
+@pytest.mark.parametrize("option, value", (("--angular", "0"), ("--radial", "-3")))
+def test_cli_names_the_one_count_option_it_rejects(option, value, capsys):
+    # before, either one gave "--radial and --angular must be >= 1"
+    usage, error = _cli_usage_error(capsys, "quadrature", "--dim", "4", option, value)
+    assert error == f"bosepauli quadrature: error: {option} must be a positive integer, got {value}"
+    assert usage[0].startswith("usage: bosepauli quadrature [-h]")
 
 
 # subcommand -> a well-formed argv for it
@@ -1096,7 +1104,7 @@ def test_cli_quadrature_resolves_a_large_radial_count():
     proc = _run("quadrature", "--dim", "2", "--radial", "0", "--angular", "4")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert "--radial and --angular must be >= 1" in proc.stderr
+    assert "--radial must be a positive integer, got 0" in proc.stderr
 
 
 def test_cli_verify_certifies_a_million_level_truncation():
@@ -1153,6 +1161,55 @@ def test_well_formed_parse_is_what_argparse_parses(argv):
         assert repr(fast) == repr(parsed)
 
 
+def _argparse_parses(argv):
+    # argparse's namespace for argv, or None when it prints help or a usage error
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli._build_parser().parse_args(list(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_ARGV)
+def test_what_argparse_parses_is_well_formed(argv):
+    # before, argparse also expanded an abbreviation such as quadrature --d 2, which only it read
+    if _argparse_parses(argv) is None:
+        return
+    names, tokens = [], iter(argv[1:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        value = value if eq else next(tokens, "-")
+        # argparse drops a value of "--", and reads a separate value that starts with "-" as an option or a number
+        if value == "--" or not eq and value.startswith("-"):
+            return
+        names.append(name)
+    if len(set(names)) == len(names):
+        assert cli._parse_well_formed(list(argv)) is not None
+
+
+# (subcommand, a proper prefix of one of its options that is none of its
+# options, a value valid for the option it is a prefix of)
+ABBREVIATIONS = [
+    (command, option[:cut], _GOOD_VALUES[option][0])
+    for command, (_, options) in cli._COMMANDS.items()
+    for option in options
+    for cut in range(1, len(option))
+    if option[:cut] not in options
+]
+
+
+@pytest.mark.parametrize("command, prefix, value", ABBREVIATIONS)
+def test_every_abbreviated_option_is_a_usage_error(command, prefix, value, capsys, monkeypatch):
+    # before, argparse expanded it: verify --to 1 ran as --tol 1, and --to -1e-3
+    # missed the --tol rewrite and said "argument --tol: expected one argument"
+    argv = (command, *WELL_FORMED[command], f"--{prefix}", value)
+    usage, error = _cli_usage_error(capsys, *argv)
+    assert error == f"bosepauli: error: unrecognized arguments: --{prefix} {value}"
+    monkeypatch.setattr(cli, "_parse_well_formed", lambda argv: None)
+    assert _cli_usage_error(capsys, *argv) == (usage, error)
+
+
 # argv the command line takes, rejects after parsing, or leaves to argparse
 # for help and its own usage errors
 PARSER_CORPUS = (
@@ -1174,6 +1231,9 @@ PARSER_CORPUS = (
     ("quadrature", "--dim", "16", "--variants", "sideways"),
     ("verify", "--dims", "2", "--ls", ""),
     ("verify", "--di", "2", "--ls", "1"),
+    ("verify", "--dims", "2", "--ls", "1", "--to", "1"),
+    ("verify", "--dims", "2", "--ls", "1", "--to", "-1e-3"),
+    ("verify", "--dim", "2", "--ls", "1"),
     ("dump", "--op", "hamiltonian", "--dim", "4"),
     ("dump", "--op", "sigma_minus"),
     ("grassmann", "--dims", "2", "--ls", "1", "stray"),

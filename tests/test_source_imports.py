@@ -199,6 +199,49 @@ def test_the_integer_rule_guard_sees_the_test_wherever_it_is_written():
     assert integer_predicates(ast.parse(source)) == ["f", "g", "<lambda>", None]
 
 
+def usage_error_uses(tree):
+    """``("read" | "set", function)`` for each use of the attribute ``usage_error``:
+    a read, or a keyword argument or assignment that sets it, with the name of
+    the enclosing ``def`` (a lambda counts as its ``def``'s), ``None`` at module level."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "usage_error":
+            found.append(("read" if isinstance(node.ctx, ast.Load) else "set", function))
+        if isinstance(node, ast.keyword) and node.arg == "usage_error":
+            found.append(("set", function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_cli_reports_every_rejection_through_one_handler():
+    # each check after parsing raises ValueError, as the library's do, and main's one
+    # handler reports it through the subcommand's argparse parser
+    uses = usage_error_uses(ast.parse((PACKAGE / "cli.py").read_text()))
+    assert sorted(uses) == [("read", "main"), ("set", "_build_parser")]
+
+
+def test_the_one_handler_guard_sees_usage_error_wherever_it_is_used():
+    source = (
+        "def check(args):\n"
+        "    report = args.usage_error\n"
+        "def parse(argv):\n"
+        "    return Namespace(usage_error=lambda message: parser(argv).usage_error(message))\n"
+        "class C:\n"
+        "    def m(self, args):\n"
+        "        args.usage_error = print\n"
+        "args.usage_error('x')\n"
+    )
+    assert usage_error_uses(ast.parse(source)) == [
+        ("read", "check"), ("set", "parse"), ("read", "parse"), ("set", "m"), ("read", None)
+    ]
+
+
 # name moved off the paths of verify and grassmann -> (its home, the modules that still give it by that name)
 MOVED = {
     **dict.fromkeys(("sigma_minus", "sigma_three"), ("dense", ("pauli",))),
