@@ -19,7 +19,7 @@ import os
 import sys
 import types
 
-from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _distinct, _lazy, _tolerance
+from . import _QUADRATURE_TOLERANCE, DUMPABLE_OPERATORS, RESOLUTION_VARIANTS, _count, _distinct, _lazy, _tolerance
 
 # the entry points, each imported from its module on first use (PEP 562), so
 # --help and every usage error load none of them. ``_dispatch`` calls them as
@@ -74,11 +74,12 @@ def _build_parser():
 
     parser = argparse.ArgumentParser(
         prog="bosepauli",
+        allow_abbrev=False,  # an option is spelled in full, as _parse_well_formed reads it
         description="Certify the oscillator realizations of the Pauli operators on truncated Fock spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, options) in _COMMANDS.items():
-        subparser = sub.add_parser(command, help=summary)
+        subparser = sub.add_parser(command, help=summary, allow_abbrev=False)
         for dest, keywords in options.items():
             subparser.add_argument("--" + dest, **keywords)
         subparser.set_defaults(usage_error=subparser.error)  # checks after parsing report as the subcommand's own errors do
@@ -120,15 +121,13 @@ def _parse_well_formed(argv: list[str]):
     if any(option.get("required") and dest not in given for dest, option in options.items()):
         return None
     defaults = {dest: option.get("default") for dest, option in options.items()}
-    # checks after parsing report through the subcommand's argparse parser, built only then
-    usage_error = lambda message: _build_parser().parse_args(argv).usage_error(message)  # noqa: E731
-    return types.SimpleNamespace(command=argv[0], **{**defaults, **given}, usage_error=usage_error)
+    return types.SimpleNamespace(command=argv[0], **{**defaults, **given})
 
 
-def _check_dims(usage_error, dims: list[int], option: str = "--dims entries") -> None:
+def _check_dims(dims: list[int], option: str = "--dims entries") -> None:
     for dim in dims:
         if dim < 2 or dim % 2 != 0:
-            usage_error(f"{option} must be even and >= 2, got {dim}")
+            raise ValueError(f"{option} must be even and >= 2, got {dim}")
 
 
 def _emit(report, fmt: str) -> int:
@@ -147,47 +146,44 @@ def main(argv=None) -> int:
         at = argv.index("--tol")
         argv[at : at + 2] = ["--tol=" + argv[at + 1]]
     args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
-    for dest, value in vars(args).items():
-        if value == []:  # argparse stores a value of "--" (--dim=--) as []; _int_list never returns []
-            args.usage_error(f"argument --{dest}: expected one argument")
     try:
+        for dest, value in vars(args).items():
+            if value == []:  # argparse stores a value of "--" (--dim=--) as []; _int_list never returns []
+                raise ValueError(f"argument --{dest}: expected one argument")
         if hasattr(args, "tol"):
             args.tol = _tolerance("--tol", args.tol)
         return _dispatch(args)
-    except ValueError as exc:  # a parameter the library rejects is a usage error
-        args.usage_error(str(exc))
+    except ValueError as exc:  # a parameter the CLI or the library rejects: a usage error of the subcommand's parser
+        _build_parser().parse_args(argv).usage_error(str(exc))
 
 
 def _dispatch(args) -> int:
-    error = args.usage_error
     if args.command in ("verify", "grassmann"):
-        _check_dims(error, args.dims)
+        _check_dims(args.dims)
         for l in args.ls:
-            if l < 1:
-                error(f"--ls entries must be positive, got {l}")
+            _count("--ls entries", l, 1)
         _distinct(("--dims", args.dims), ("--ls", args.ls))  # the suites' own check, naming the options
         if args.command == "grassmann":
             return _emit(_this.grassmann_suite(args.dims, args.ls), args.format)
         return _emit(_this.algebra_suite(args.dims, args.ls, args.tol), args.format)
 
     if args.command == "quadrature":
-        _check_dims(error, [args.dim], "--dim")
-        if args.radial < 1 or args.angular < 1:
-            error("--radial and --angular must be >= 1")
+        _check_dims([args.dim], "--dim")
+        _count("--radial", args.radial, 1)
+        _count("--angular", args.angular, 1)
         if args.variants == "all":
             variants = list(RESOLUTION_VARIANTS)
         else:
             variants = [piece.strip() for piece in args.variants.split(",") if piece.strip()]
             unknown = [v for v in variants if v not in RESOLUTION_VARIANTS]
             if not variants or unknown:
-                error(f"--variants must name variants among {RESOLUTION_VARIANTS}")
+                raise ValueError(f"--variants must name variants among {RESOLUTION_VARIANTS}")
             _distinct(("--variants", variants))
         return _emit(_this.quadrature_suite(args.dim, args.radial, args.angular, variants, args.tol), args.format)
 
     # dump
-    _check_dims(error, [args.dim], "--dim")
-    if args.l < 1:
-        error(f"--l must be positive, got {args.l}")
+    _check_dims([args.dim], "--dim")
+    _count("--l", args.l, 1)
     entries = _this.named_operator(args.op, args.dim, args.l)
     if args.format == "csv":
         sys.stdout.write(_this.matrix_to_csv(entries))
