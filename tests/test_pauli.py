@@ -430,6 +430,21 @@ def test_catalog_certifies_a_million_level_truncation():
         assert all(check.residual == 0.0 for check in checks)
 
 
+def test_one_catalog_call_reads_at_most_four_blocks_at_any_dim(monkeypatch):
+    reads = []
+    lowering_block = bosepauli.blocks._lowering_block
+
+    def counting(n, l):
+        reads.append(n)
+        return lowering_block(n, l)
+
+    monkeypatch.setattr(bosepauli.blocks, "_lowering_block", counting)
+    for l in range(1, 13):
+        reads.clear()
+        algebra_residuals(_params(l, 10**6))
+        assert len(reads) <= 4, l
+
+
 # ------------------------------------------------ numpy stack catalog oracle
 
 

@@ -506,6 +506,40 @@ def test_named_ladder_operators_match_pauli_set():
         assert named_operator("sigma_three", dim, l) == _nonzero_entries(sigma_three(FockSpace(dim)))
 
 
+def test_a_ladder_dump_reads_at_most_four_blocks_at_any_dim(monkeypatch):
+    reads = []
+    lowering_block = blocks._lowering_block
+
+    def counting(n, l):
+        reads.append(n)
+        return lowering_block(n, l)
+
+    monkeypatch.setattr(blocks, "_lowering_block", counting)
+    for name in ("sigma_minus", "sigma_plus"):
+        for l in range(1, 13):
+            reads.clear()
+            named_operator(name, 10_000, l)
+            assert len(reads) <= 4, (name, l)
+
+
+def _main(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def test_verify_and_dump_read_one_definition_of_every_block(monkeypatch):
+    # block n is block n mod 4, so a patch on block 7 alone is read by neither
+    argvs = (["verify", "--dims", "64", "--ls", "1"], ["dump", "--op", "sigma_minus", "--dim", "64", "--l", "1", "--format", "csv"])
+    unpatched = [_main(argv) for argv in argvs]
+    lowering_block = blocks._lowering_block
+    monkeypatch.setattr(blocks, "_lowering_block", lambda n, l: (0, 7, 0, 0) if n == 7 else lowering_block(n, l))
+    assert [_main(argv) for argv in argvs] == unpatched
+    assert [code for code, _ in unpatched] == [0, 0]
+    assert "14,15,-1,0\n" in unpatched[1][1]
+
+
 def test_matrix_csv_omits_zeros():
     text = matrix_to_csv(named_operator("sigma_minus", 4, 2))
     assert text.splitlines() == ["0,1,1,0", "2,3,1,0"]
