@@ -1,8 +1,8 @@
 """The 2x2 pair blocks of the pseudospin operators on the level pairs
-``(|2n>, |2n+1>)``, without numpy or the identity catalog. Every caller looks
-up block ``n`` of ``sigma_-`` as ``blocks._lowering_block`` when called, so one
-patch reaches them all. The ``dump`` entries and writers, which ``verify`` and
-``grassmann`` never call, live in :mod:`bosepauli.dump`.
+``(|2n>, |2n+1>)``, without numpy or the identity catalog. Block ``n`` of
+``sigma_-`` reads the ``n mod 4`` sign table, so it is block ``n mod 4``, and
+:func:`_period` gives the blocks the catalog certifies and every dump repeats.
+The ``dump`` entries and writers live in :mod:`bosepauli.dump`.
 """
 
 from __future__ import annotations
@@ -82,3 +82,8 @@ def _lowering_block(n: int, l: int) -> tuple:
     # radial factors cancelled analytically: rounded square roots do not cancel
     # in IEEE doubles ((1/sqrt(15))*sqrt(15) != 1), and exactness needs them to.
     return (0, _cos_half_pi(2 * n) ** l, 0, 0)
+
+
+def _period(params: BosonizationParams) -> list[tuple]:
+    """Entries of pair blocks ``0 .. min(D/2, 4) - 1`` of ``sigma_-``; block ``n`` is block ``n mod 4``."""
+    return [_lowering_block(n, params.l) for n in range(min(params.space.dim // 2, 4))]

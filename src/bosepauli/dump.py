@@ -1,10 +1,9 @@
 """The ``dump`` path: the nonzero ``(row, col, value)`` entries of a dump
 target, read off its pair blocks, and the writers that print them, without
 numpy or the ``json`` package. Only ``dump`` and :mod:`bosepauli.dense` load
-this module, so ``verify`` and ``grassmann`` do not compile it. Block ``n`` of
-``sigma_-`` is looked up as ``blocks._lowering_block`` when called, as every
-other caller does, so one patch reaches them all. A dump writes the nonzero
-entries of an operator, never a dense matrix.
+this module, so ``verify`` and ``grassmann`` do not compile it. A ladder dump
+repeats the blocks the catalog certifies, :func:`~bosepauli.blocks._period`.
+A dump writes the nonzero entries of an operator, never a dense matrix.
 """
 
 from __future__ import annotations
@@ -23,8 +22,8 @@ def _named_blocks(name: str, params: BosonizationParams) -> list[_Block]:
         return [_DIAGONAL_BLOCKS[name]] * pairs
     if name not in DUMPABLE_OPERATORS:
         raise ValueError(f"unknown operator {name!r}, expected one of {DUMPABLE_OPERATORS}")
-    lowering = [_Block(*blocks._lowering_block(n, params.l)) for n in range(pairs)]
-    return lowering if name == "sigma_minus" else [block.dagger() for block in lowering]
+    period = [_Block(*entries) if name == "sigma_minus" else _Block(*entries).dagger() for entries in blocks._period(params)]
+    return (period * (pairs // len(period) + 1))[:pairs]
 
 
 def _entries(pair_blocks: list[_Block]) -> list[tuple[int, int, complex]]:

@@ -8,15 +8,15 @@ alternating-sign one, and the operator depends on ``l`` only through its
 parity.
 
 Every pseudospin operator is thus a direct sum of 2x2 blocks on the level
-pairs ``(|2n>, |2n+1>)``, and for a given ``l`` the blocks of any truncation
-fall into at most two distinct classes. The identity catalog runs once per
-class in a process, on 2x2 matrices of Python ``complex`` with entries in
-``{0, +-1, +-i}``: their products and sums round nowhere, so the catalog is
-exact on every distinct block, and every block of the truncation is one of
-them. That certificate, like the functional equation, needs no numpy: the
-commutators take pair blocks as well as matrices. The blocks and
-``BosonizationParams`` come from :mod:`bosepauli.blocks`. The dense views
-live in :mod:`bosepauli.dense`.
+pairs ``(|2n>, |2n+1>)``. Block ``n`` is block ``n mod 4``, so the first four
+blocks hold every class, at most two for a given ``l``. The identity catalog
+runs once per class in a process, on 2x2 matrices of Python ``complex`` with
+entries in ``{0, +-1, +-i}``: their products and sums round nowhere, so the
+catalog is exact on every distinct block, and every block of any truncation is
+one of them. That certificate, like the functional equation, needs no numpy:
+the commutators take pair blocks as well as matrices. The blocks and
+``BosonizationParams`` come from :mod:`bosepauli.blocks`. The dense views live
+in :mod:`bosepauli.dense`.
 """
 
 from __future__ import annotations
@@ -134,13 +134,12 @@ def algebra_residuals(params: BosonizationParams) -> list[IdentityCheck]:
     ``{sigma_-, sigma_3} = 0`` and ``[sigma_-, sigma_3] = 2 sigma_-``, and
     the nilpotency of ``sigma_+-``. All residuals are exactly zero on even
     truncations. Every operator is a direct sum of pair blocks, so the catalog
-    runs on each distinct block of the truncation (found by building every
-    block), once per process, and each check carries the residual of each
-    class with the index of its first block.
+    runs on each distinct block of :func:`~bosepauli.blocks._period`, which
+    every later block repeats, once per process, and each check carries the
+    residual of each class with the index of its first block.
     """
-    first_blocks: dict[tuple, int] = {}
-    for n in range(params.space.dim // 2):
-        first_blocks.setdefault(blocks._lowering_block(n, params.l), n)
+    period = blocks._period(params)
+    first_blocks = {block: period.index(block) for block in period}
     runs = [_class_catalog(block) for block in first_blocks]
     firsts = tuple(first_blocks.values())
     checks = []

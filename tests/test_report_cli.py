@@ -390,13 +390,15 @@ def test_algebra_suite_matches_per_dim_catalog_runs():
     assert fast.to_csv() == reference.to_csv()
 
 
-@pytest.mark.parametrize("block", (0, 1, 7, 31, 127))
-def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(monkeypatch, block):
+@pytest.mark.parametrize("residue", (0, 1, 2, 3))
+def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(monkeypatch, residue):
+    # the defect is on every block n = residue (mod 4), as a defect of the
+    # n mod 4 sign table would be, so a dim holds it once it holds block residue
     lowering_block = blocks._lowering_block
 
     def defective(n, l):
         entries = lowering_block(n, l)
-        if n == block:
+        if n % 4 == residue:
             entries = tuple(e + d for e, d in zip(entries, (0.25, 0.0, 0.5j, 0.0)))
         return entries
 
@@ -407,7 +409,11 @@ def test_algebra_suite_shows_a_block_defect_in_exactly_the_dims_that_hold_it(mon
     for dim in SWEEP_DIMS:
         for l in ls:
             worst = max(r.residual for r in fast.records if r.params == {"dim": dim, "l": l})
-            assert (worst > 0.0) == (dim // 2 > block)
+            assert (worst > 0.0) == (dim // 2 > residue)
+    if residue == 3:
+        # the deepest block of the largest dim shows it in the dump
+        entries = named_operator("sigma_minus", 256, 1)
+        assert (254, 254, 0.25) in entries and (255, 254, 0.5j) in entries
 
 
 def test_algebra_suite_runs_the_catalog_once_per_distinct_block_in_a_process(monkeypatch):
@@ -522,6 +528,26 @@ def test_a_ladder_dump_reads_at_most_four_blocks_at_any_dim(monkeypatch):
             assert len(reads) <= 4, (name, l)
 
 
+def _written_entries(name, dim, l):
+    # reference: each dump target's entries written from the paper's formulas,
+    # with no pair block: sigma_- has (-1)^(n l) at (2n, 2n+1)
+    pairs = range(dim // 2)
+    return {
+        "sigma_minus": [(2 * n, 2 * n + 1, (-1) ** (n * l)) for n in pairs],
+        "sigma_plus": [(2 * n + 1, 2 * n, (-1) ** (n * l)) for n in pairs],
+        "sigma_three": [(k, k, -1 if k % 2 == 0 else 1) for k in range(dim)],
+        "p_even": [(2 * n, 2 * n, 1) for n in pairs],
+        "p_odd": [(2 * n + 1, 2 * n + 1, 1) for n in pairs],
+    }[name]
+
+
+@pytest.mark.parametrize("name", DUMPABLE_OPERATORS)
+def test_named_operator_writes_the_entries_of_the_paper_at_every_dim(name):
+    for dim in (2, 6, 8, 10, 4096, 10_000):
+        for l in range(1, 13):
+            assert named_operator(name, dim, l) == _written_entries(name, dim, l), (dim, l)
+
+
 def _main(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -531,13 +557,38 @@ def _main(argv):
 
 def test_verify_and_dump_read_one_definition_of_every_block(monkeypatch):
     # block n is block n mod 4, so a patch on block 7 alone is read by neither
-    argvs = (["verify", "--dims", "64", "--ls", "1"], ["dump", "--op", "sigma_minus", "--dim", "64", "--l", "1", "--format", "csv"])
+    argvs = (
+        ["verify", "--dims", "64", "--ls", "1"],
+        ["dump", "--op", "sigma_minus", "--dim", "64", "--l", "1", "--format", "csv"],
+    )
     unpatched = [_main(argv) for argv in argvs]
     lowering_block = blocks._lowering_block
     monkeypatch.setattr(blocks, "_lowering_block", lambda n, l: (0, 7, 0, 0) if n == 7 else lowering_block(n, l))
     assert [_main(argv) for argv in argvs] == unpatched
     assert [code for code, _ in unpatched] == [0, 0]
     assert "14,15,-1,0\n" in unpatched[1][1]
+
+
+def test_a_sign_table_of_period_3_fails_verify_once_the_dim_holds_block_2(monkeypatch):
+    # blocks 0, 1 and 2 read table entries 0, 2 and 1, so block 2 is the zero
+    # block; a catalog that read only blocks 0 and 1 would pass this table
+    monkeypatch.setattr(blocks, "_cos_half_pi", lambda n: (1, 0, -1)[n % 3])
+    assert _main(["verify", "--dims", "4", "--ls", "1"])[0] == 0
+    assert _main(["verify", "--dims", "6", "--ls", "1"])[0] == 1
+
+
+def test_the_catalog_passes_every_block_negated_and_the_eigen_check_fails_it(monkeypatch):
+    # An equivalent mutant. Negating every block of sigma_- gives the
+    # sign-flipped representation, which satisfies every identity of the
+    # catalog, so no verify record can tell it from the paper's; only the
+    # eigenvector check, which fixes the sign of block 0, fails it.
+    lowering_block = blocks._lowering_block
+    monkeypatch.setattr(blocks, "_lowering_block", lambda n, l: tuple(-e for e in lowering_block(n, l)))
+    code, out = _main(["verify", "--dims", "2,4,64", "--ls", "1,2"])
+    assert code == 0
+    records = json.loads(out)["records"]
+    assert len(records) == 2 + 3 * 2 * 30 and all(record["pass"] for record in records)
+    assert _main(["grassmann", "--dims", "4", "--ls", "1"])[0] == 1
 
 
 def test_matrix_csv_omits_zeros():
